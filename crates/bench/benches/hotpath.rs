@@ -1,16 +1,15 @@
 //! Criterion microbenchmarks of the evaluation hot path: the exact
 //! per-evaluation operations the SURF search loop performs millions of
-//! times — config decode, kernel timing, and surrogate batch prediction —
-//! each with the allocating baseline next to the zero-allocation fast path
-//! so regressions in either show up as a ratio, not just a number.
+//! times — config decode, kernel timing, and surrogate pool scoring —
+//! each with its baseline next to the fast path the search uses, so
+//! regressions in either show up as a ratio, not just a number.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use barracuda::prelude::*;
 use barracuda::EvalCache;
-use surf::binarize::{CompactMatrix, FeatureMatrix};
-use surf::{ExtraTrees, ForestParams};
+use surf::{ExtraTrees, ForestParams, SlicedPool};
 
 fn bench_config_decode(c: &mut Criterion) {
     let w = kernels::table2_benchmarks()
@@ -76,13 +75,15 @@ fn bench_kernel_timing(c: &mut Criterion) {
 }
 
 fn bench_predict(c: &mut Criterion) {
-    // Forest and pool shaped like a real SURF iteration on eqn1.
+    // Shaped like a late SURF round on eqn1: a forest fitted on 160
+    // evaluated configurations scores a pool of 4 096 candidates (a
+    // paper-budget search fits on ~150 and scores up to 20 000).
     let w = kernels::eqn1(10);
     let tuner = WorkloadTuner::build(&w);
     let arch = gpusim::gtx980();
-    let pool = tuner.pool(512, 3);
+    let pool = tuner.pool(4096, 3);
     let xs: Vec<Vec<f64>> = pool.iter().map(|&id| tuner.features(id)).collect();
-    let ys: Vec<f64> = pool
+    let ys: Vec<f64> = pool[..160]
         .iter()
         .map(|&id| tuner.gpu_seconds(id, &arch))
         .collect();
@@ -92,60 +93,34 @@ fn bench_predict(c: &mut Criterion) {
         k_features: Some(48),
         seed: 1,
     };
-    let model = ExtraTrees::fit(&xs, &ys, params);
+    let model = ExtraTrees::fit(&xs[..160], &ys, params);
 
-    // Allocating baseline: Vec<Vec<f64>> rows re-packed every call.
-    c.bench_function("hotpath/predict_batch_512", |b| {
-        b.iter(|| black_box(model.predict_batch(black_box(&xs))))
+    // Baseline: one root-to-leaf walk per candidate per tree.
+    c.bench_function("hotpath/predict_per_row_4096", |b| {
+        b.iter(|| {
+            let out: Vec<f64> = xs.iter().map(|x| model.predict(black_box(x))).collect();
+            black_box(out)
+        })
     });
 
-    // Search-loop path: rows bit-packed once into a CompactMatrix, the
-    // forest compiled against its schema, predictions into reused scratch.
-    let compact = CompactMatrix::from_matrix(&FeatureMatrix::from_rows(&xs));
-    let compiled = model.compile(&compact);
+    // Search-loop path: the pool laid out once as column bitsets, each
+    // tree evaluated node by node over sets of rows.
+    let pool = SlicedPool::from_rows(&xs);
     let rows: Vec<u32> = (0..xs.len() as u32).collect();
-    c.bench_function("hotpath/predict_compiled_512", |b| {
+    c.bench_function("hotpath/predict_sliced_4096", |b| {
         let mut out: Vec<f64> = Vec::new();
         b.iter(|| {
-            compiled.predict_rows_into(black_box(&compact), black_box(&rows), &mut out);
-            black_box(out.len())
-        })
-    });
-
-    // Per-round model refresh, allocating baseline: what the search loop
-    // used to do each batch — compile a fresh CompiledForest (new node
-    // and value vectors per tree) and collect predictions into a fresh
-    // buffer.
-    c.bench_function("hotpath/round_compile_alloc_512", |b| {
-        b.iter(|| {
-            let compiled = model.compile(black_box(&compact));
-            let mut out: Vec<f64> = Vec::new();
-            compiled.predict_rows_into(black_box(&compact), black_box(&rows), &mut out);
-            black_box(out.len())
-        })
-    });
-
-    // Steady-state path after the scratch-reuse fix: `compile_into`
-    // refills the same CompiledForest in place and predictions land in
-    // the same caller-owned buffer, so a round allocates nothing once
-    // the buffers reach their high-water mark.
-    c.bench_function("hotpath/round_compile_into_reused_512", |b| {
-        let mut compiled = surf::CompiledForest::empty();
-        let mut out: Vec<f64> = Vec::new();
-        b.iter(|| {
-            model.compile_into(black_box(&compact), &mut compiled);
-            compiled.predict_rows_into(black_box(&compact), black_box(&rows), &mut out);
+            pool.score(black_box(&model), black_box(&rows), false, &mut out);
             black_box(out.len())
         })
     });
 }
 
 fn bench_pool_feature_reuse(c: &mut Criterion) {
-    // The closure-based serial search backend used to re-featurize every
-    // remaining candidate on every scoring round. This pair pins the win
-    // from caching the binarized pool: the baseline pays featurization +
-    // binarization + compilation per round, the cached path only refreshes
-    // the compiled forest against the prebuilt CompactMatrix.
+    // The search used to re-featurize every remaining candidate on every
+    // scoring round. This pair pins the win from building the pool once:
+    // the baseline pays featurization and the bit-sliced layout per
+    // round, the cached path only scores.
     let w = kernels::eqn1(10);
     let tuner = WorkloadTuner::build(&w);
     let arch = gpusim::gtx980();
@@ -164,27 +139,22 @@ fn bench_pool_feature_reuse(c: &mut Criterion) {
     let model = ExtraTrees::fit(&xs, &ys, params);
     let rows: Vec<u32> = (0..pool.len() as u32).collect();
 
-    // Per-round baseline: featurize, binarize and compile from scratch.
+    // Per-round baseline: featurize and lay out the pool from scratch.
     c.bench_function("hotpath/score_refeaturize_each_round_512", |b| {
+        let mut out: Vec<f64> = Vec::new();
         b.iter(|| {
             let feats: Vec<Vec<f64>> = pool.iter().map(|&id| tuner.features(id)).collect();
-            let compact = CompactMatrix::from_matrix(&FeatureMatrix::from_rows(&feats));
-            let compiled = model.compile(&compact);
-            let mut out: Vec<f64> = Vec::new();
-            compiled.predict_rows_into(&compact, black_box(&rows), &mut out);
+            SlicedPool::from_rows(&feats).score(&model, black_box(&rows), false, &mut out);
             black_box(out.len())
         })
     });
 
-    // Cached-pool path: the CompactMatrix is built once outside the round;
-    // each round refills the compiled forest and scratch in place.
-    let compact = CompactMatrix::from_matrix(&FeatureMatrix::from_rows(&xs));
+    // Cached-pool path: the layout is built once outside the round.
+    let sliced = SlicedPool::from_rows(&xs);
     c.bench_function("hotpath/score_cached_pool_features_512", |b| {
-        let mut compiled = surf::CompiledForest::empty();
         let mut out: Vec<f64> = Vec::new();
         b.iter(|| {
-            model.compile_into(black_box(&compact), &mut compiled);
-            compiled.predict_rows_into(black_box(&compact), black_box(&rows), &mut out);
+            sliced.score(&model, black_box(&rows), false, &mut out);
             black_box(out.len())
         })
     });

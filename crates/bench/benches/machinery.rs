@@ -81,8 +81,11 @@ fn bench_forest(c: &mut Criterion) {
         b.iter(|| ExtraTrees::fit(black_box(&xs), black_box(&ys), params))
     });
     let model = ExtraTrees::fit(&xs, &ys, params);
-    c.bench_function("surf/predict_batch_256", |b| {
-        b.iter(|| model.predict_batch(black_box(&xs)))
+    c.bench_function("surf/predict_256", |b| {
+        b.iter(|| {
+            let out: Vec<f64> = xs.iter().map(|x| model.predict(black_box(x))).collect();
+            out
+        })
     });
 }
 

@@ -179,18 +179,53 @@ impl Json {
         }
     }
 
-    /// Parses one JSON document (rejects trailing garbage).
-    pub fn parse(text: &str) -> Result<Json, String> {
+    /// Parses one JSON document (rejects trailing garbage). Arrays and
+    /// objects may nest at most [`MAX_DEPTH`] deep.
+    pub fn parse(text: &str) -> Result<Json, JsonError> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
-            return Err(format!("trailing characters at byte {pos}"));
+            return Err(format!("trailing characters at byte {pos}").into());
         }
         Ok(value)
     }
 }
+
+/// Deepest nesting of arrays and objects [`Json::parse`] accepts. Plans
+/// nest about 6 deep and requests 2; the parser recurses once per level,
+/// so without a bound a line of `[`s overflows the stack and aborts the
+/// process, which no caller can catch.
+pub const MAX_DEPTH: usize = 64;
+
+/// Why [`Json::parse`] rejected its input.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum JsonError {
+    /// Arrays and objects nest deeper than [`MAX_DEPTH`].
+    TooDeep { at: usize },
+    /// Anything else that is not one well-formed JSON document.
+    Syntax(String),
+}
+
+impl From<String> for JsonError {
+    fn from(detail: String) -> Self {
+        JsonError::Syntax(detail)
+    }
+}
+
+impl std::fmt::Display for JsonError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            JsonError::TooDeep { at } => {
+                write!(f, "nesting deeper than {MAX_DEPTH} levels at byte {at}")
+            }
+            JsonError::Syntax(detail) => f.write_str(detail),
+        }
+    }
+}
+
+impl std::error::Error for JsonError {}
 
 fn indent(out: &mut String, depth: usize) {
     for _ in 0..depth {
@@ -222,14 +257,17 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     skip_ws(bytes, pos);
+    if matches!(bytes.get(*pos), Some(b'[' | b'{')) && depth == MAX_DEPTH {
+        return Err(JsonError::TooDeep { at: *pos });
+    }
     match bytes.get(*pos) {
-        None => Err("unexpected end of input".to_string()),
-        Some(b'n') => parse_lit(bytes, pos, "null", Json::Null),
-        Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_lit(bytes, pos, "false", Json::Bool(false)),
-        Some(b'"') => parse_string(bytes, pos).map(Json::Str),
+        None => Err("unexpected end of input".to_string().into()),
+        Some(b'n') => Ok(parse_lit(bytes, pos, "null", Json::Null)?),
+        Some(b't') => Ok(parse_lit(bytes, pos, "true", Json::Bool(true))?),
+        Some(b'f') => Ok(parse_lit(bytes, pos, "false", Json::Bool(false))?),
+        Some(b'"') => Ok(parse_string(bytes, pos).map(Json::Str)?),
         Some(b'[') => {
             *pos += 1;
             let mut items = Vec::new();
@@ -239,7 +277,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -247,7 +285,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                         *pos += 1;
                         return Ok(Json::Arr(items));
                     }
-                    _ => return Err(format!("expected ',' or ']' at byte {pos}")),
+                    _ => return Err(format!("expected ',' or ']' at byte {pos}").into()),
                 }
             }
         }
@@ -264,10 +302,10 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 let key = parse_string(bytes, pos)?;
                 skip_ws(bytes, pos);
                 if bytes.get(*pos) != Some(&b':') {
-                    return Err(format!("expected ':' at byte {pos}"));
+                    return Err(format!("expected ':' at byte {pos}").into());
                 }
                 *pos += 1;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 members.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -276,11 +314,11 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                         *pos += 1;
                         return Ok(Json::Obj(members));
                     }
-                    _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
+                    _ => return Err(format!("expected ',' or '}}' at byte {pos}").into()),
                 }
             }
         }
-        Some(_) => parse_number(bytes, pos),
+        Some(_) => Ok(parse_number(bytes, pos)?),
     }
 }
 
@@ -411,6 +449,30 @@ mod tests {
         assert!(Json::parse("{\"a\" 1}").is_err());
         assert!(Json::parse("true false").is_err());
         assert!(Json::parse("nope").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_by_a_typed_error() {
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&ok).is_ok());
+        let deep = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert_eq!(
+            Json::parse(&deep),
+            Err(JsonError::TooDeep { at: MAX_DEPTH })
+        );
+        let objects = format!(
+            "{}1{}",
+            r#"{"a":"#.repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(matches!(
+            Json::parse(&objects),
+            Err(JsonError::TooDeep { .. })
+        ));
+        // Far past any stack: one line of 300 000 `[` fails, not aborts.
+        let e = Json::parse(&"[".repeat(300_000)).unwrap_err();
+        assert_eq!(e, JsonError::TooDeep { at: MAX_DEPTH });
+        assert!(e.to_string().contains("nesting deeper than 64"), "{e}");
     }
 
     #[test]

@@ -956,3 +956,100 @@ fn serve_rejects_a_bad_listen_spec_with_exit_12() {
     );
     assert!(String::from_utf8_lossy(&out.stderr).contains("error[serve]"));
 }
+
+/// One line of 300 000 `[` used to overflow the parser's stack and abort
+/// the daemon (exit 134); it must answer a typed error and keep serving.
+#[test]
+fn serve_answers_a_deeply_nested_line_with_a_typed_error() {
+    use std::io::Write;
+    let mut child = bin()
+        .args(["serve"])
+        .stdin(std::process::Stdio::piped())
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .unwrap();
+    let input = format!(
+        "{}\n{}\n{}\n",
+        "[".repeat(300_000),
+        r#"{"op":"ping"}"#,
+        r#"{"op":"shutdown"}"#
+    );
+    child
+        .stdin
+        .as_mut()
+        .unwrap()
+        .write_all(input.as_bytes())
+        .unwrap();
+    let out = child.wait_with_output().unwrap();
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(lines.len(), 3, "stdout: {stdout}");
+    assert!(lines[0].contains(r#""ok":false"#), "{}", lines[0]);
+    assert!(lines[0].contains(r#""exit_code":12"#), "{}", lines[0]);
+    assert!(lines[0].contains("nesting deeper than"), "{}", lines[0]);
+    assert_eq!(lines[1], r#"{"ok":true,"op":"ping"}"#);
+}
+
+/// The same bytes as a store entry: `plans list` survives them, and the
+/// next lookup quarantines the entry and re-tunes instead of aborting.
+#[test]
+fn deeply_nested_store_entry_is_quarantined() {
+    let store =
+        std::env::temp_dir().join(format!("barracuda_cli_store_deep_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&store);
+    let store_arg = store.to_str().unwrap();
+    let tune = || {
+        bin()
+            .args([
+                "tune",
+                "builtin:eqn1",
+                "--quick",
+                "--evals",
+                "20",
+                "--arch",
+                "k20",
+                "--store",
+                store_arg,
+            ])
+            .output()
+            .unwrap()
+    };
+    let list = || {
+        let out = bin()
+            .args(["plans", "list", "--store", store_arg])
+            .output()
+            .unwrap();
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "stderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    assert!(tune().status.success());
+    let entry = std::fs::read_dir(&store)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .find(|p| p.to_string_lossy().ends_with(".plan.json"))
+        .expect("the tune stored a plan");
+    std::fs::write(&entry, "[".repeat(300_000)).unwrap();
+    list();
+
+    let retune = tune();
+    assert!(retune.status.success());
+    let stderr = String::from_utf8_lossy(&retune.stderr);
+    assert!(stderr.contains("quarantined corrupt entry"), "{stderr}");
+    assert!(stderr.contains("nesting deeper than"), "{stderr}");
+    let text = list();
+    assert!(text.contains("[quarantined]"), "stdout: {text}");
+    assert!(text.contains("(1 entry)"), "stdout: {text}");
+    let _ = std::fs::remove_dir_all(&store);
+}

@@ -99,174 +99,6 @@ impl FeatureSpace {
     }
 }
 
-/// A flat row-major matrix of binarized feature vectors: one contiguous
-/// buffer instead of a `Vec<Vec<f64>>`, so batch featurization and SoA
-/// forest traversal touch a single allocation.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct FeatureMatrix {
-    data: Vec<f64>,
-    width: usize,
-}
-
-impl FeatureMatrix {
-    /// An empty matrix whose rows are `width` columns wide.
-    pub fn new(width: usize) -> Self {
-        FeatureMatrix {
-            data: Vec::new(),
-            width,
-        }
-    }
-
-    /// Pre-allocates space for `rows` rows.
-    pub fn with_capacity(width: usize, rows: usize) -> Self {
-        FeatureMatrix {
-            data: Vec::with_capacity(width * rows),
-            width,
-        }
-    }
-
-    /// Packs an existing ragged batch into a flat matrix.
-    pub fn from_rows(rows: &[Vec<f64>]) -> Self {
-        let width = rows.first().map(|r| r.len()).unwrap_or(0);
-        let mut m = FeatureMatrix::with_capacity(width, rows.len());
-        for r in rows {
-            m.push_row(r);
-        }
-        m
-    }
-
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    pub fn n_rows(&self) -> usize {
-        self.data.len().checked_div(self.width).unwrap_or(0)
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// Appends one row; its length must match the matrix width.
-    pub fn push_row(&mut self, row: &[f64]) {
-        assert_eq!(row.len(), self.width, "row width mismatch");
-        self.data.extend_from_slice(row);
-    }
-
-    /// Returns a mutable spare row appended to the matrix, for in-place
-    /// filling via `FeatureSpace::binarize_into`-style writers.
-    pub fn push_row_with(&mut self, fill: impl FnOnce(&mut Vec<f64>)) {
-        let before = self.data.len();
-        fill(&mut self.data);
-        assert_eq!(
-            self.data.len() - before,
-            self.width,
-            "row width mismatch from writer"
-        );
-    }
-
-    /// Row `i` as a slice.
-    #[inline]
-    pub fn row(&self, i: usize) -> &[f64] {
-        &self.data[i * self.width..(i + 1) * self.width]
-    }
-}
-
-/// Tag bit marking a compact column as numeric (stored as `f64`); untagged
-/// columns are binary and stored as one bit.
-pub(crate) const NUMERIC_COL: u32 = 1 << 31;
-
-/// A compressed feature matrix for forest traversal: columns whose values
-/// are all exactly 0.0 or 1.0 (the one-hot encodings, which dominate the
-/// binarized width) collapse to one bit each, the rest stay `f64`. A row
-/// shrinks from `width × 8` bytes to a few machine words, so blocked tree
-/// traversal stays cache-resident over pools that would otherwise stream
-/// from memory. Values are recovered exactly (a bit rereads as 0.0/1.0),
-/// so predictions are bit-identical to the flat matrix.
-#[derive(Clone, Debug)]
-pub struct CompactMatrix {
-    /// Per original column: `NUMERIC_COL | numeric index` or a bit index.
-    kinds: Vec<u32>,
-    words_per_row: usize,
-    bits: Vec<u64>,
-    n_num: usize,
-    num: Vec<f64>,
-    n_rows: usize,
-    width: usize,
-}
-
-impl CompactMatrix {
-    pub fn from_matrix(m: &FeatureMatrix) -> Self {
-        let width = m.width();
-        let n_rows = m.n_rows();
-        let mut binary = vec![true; width];
-        for i in 0..n_rows {
-            for (b, &v) in binary.iter_mut().zip(m.row(i)) {
-                *b &= v == 0.0 || v == 1.0;
-            }
-        }
-        let mut kinds = Vec::with_capacity(width);
-        let (mut n_bits, mut n_num) = (0u32, 0u32);
-        for &b in &binary {
-            if b {
-                kinds.push(n_bits);
-                n_bits += 1;
-            } else {
-                kinds.push(NUMERIC_COL | n_num);
-                n_num += 1;
-            }
-        }
-        let words_per_row = (n_bits as usize).div_ceil(64).max(1);
-        let mut bits = vec![0u64; words_per_row * n_rows];
-        let mut num = vec![0.0f64; n_num as usize * n_rows];
-        for i in 0..n_rows {
-            let row = m.row(i);
-            let bw = &mut bits[i * words_per_row..(i + 1) * words_per_row];
-            let nw = &mut num[i * n_num as usize..(i + 1) * n_num as usize];
-            for (f, &v) in row.iter().enumerate() {
-                let k = kinds[f];
-                if k & NUMERIC_COL != 0 {
-                    nw[(k & !NUMERIC_COL) as usize] = v;
-                } else if v == 1.0 {
-                    bw[(k >> 6) as usize] |= 1u64 << (k & 63);
-                }
-            }
-        }
-        CompactMatrix {
-            kinds,
-            words_per_row,
-            bits,
-            n_num: n_num as usize,
-            num,
-            n_rows,
-            width,
-        }
-    }
-
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    pub fn n_rows(&self) -> usize {
-        self.n_rows
-    }
-
-    #[inline]
-    pub(crate) fn kinds(&self) -> &[u32] {
-        &self.kinds
-    }
-
-    #[inline]
-    pub(crate) fn bits_row(&self, i: usize) -> &[u64] {
-        &self.bits[i * self.words_per_row..(i + 1) * self.words_per_row]
-    }
-
-    #[inline]
-    pub(crate) fn num_row(&self, i: usize) -> &[f64] {
-        &self.num[i * self.n_num..(i + 1) * self.n_num]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

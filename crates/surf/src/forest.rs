@@ -8,7 +8,6 @@
 //! uniformly random cut-point between its node-local min and max, and the
 //! split with the best variance reduction wins.
 
-use crate::binarize::{CompactMatrix, FeatureMatrix, NUMERIC_COL};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -35,7 +34,7 @@ impl Default for ForestParams {
 }
 
 #[derive(Clone, Debug)]
-enum Node {
+pub(crate) enum Node {
     Leaf {
         value: f64,
     },
@@ -48,11 +47,25 @@ enum Node {
 }
 
 #[derive(Clone, Debug)]
-struct Tree {
-    nodes: Vec<Node>,
+pub(crate) struct Tree {
+    pub(crate) nodes: Vec<Node>,
 }
 
 impl Tree {
+    /// Depth of the deepest leaf (a lone root leaf has depth 0).
+    pub(crate) fn depth(&self) -> usize {
+        let mut deepest = 0;
+        let mut stack = vec![(0usize, 0usize)];
+        while let Some((at, d)) = stack.pop() {
+            deepest = deepest.max(d);
+            if let Node::Split { left, right, .. } = &self.nodes[at] {
+                stack.push((*left, d + 1));
+                stack.push((*right, d + 1));
+            }
+        }
+        deepest
+    }
+
     fn predict(&self, x: &[f64]) -> f64 {
         let mut at = 0usize;
         loop {
@@ -75,225 +88,10 @@ impl Tree {
     }
 }
 
-/// One packed node: 24 bytes, so a traversal step touches a single cache
-/// line instead of one per parallel array. Leaves self-loop
-/// (`left == right == self`) with a `-inf` threshold, so a bounded walk
-/// parks at the leaf without branching on the node kind.
-#[derive(Clone, Copy, Debug)]
-struct PackedNode {
-    thr: f64,
-    feat: u32,
-    left: u32,
-    right: u32,
-}
-
-/// Flat tree layout for the batch prediction hot path.
-#[derive(Clone, Debug)]
-struct PackedTree {
-    nodes: Vec<PackedNode>,
-    val: Vec<f64>,
-    depth: u32,
-}
-
-impl PackedTree {
-    fn pack(tree: &Tree) -> Self {
-        let n = tree.nodes.len();
-        let mut p = PackedTree {
-            nodes: vec![
-                PackedNode {
-                    thr: f64::NEG_INFINITY,
-                    feat: 0,
-                    left: 0,
-                    right: 0,
-                };
-                n
-            ],
-            val: vec![0.0; n],
-            depth: 0,
-        };
-        for (i, node) in tree.nodes.iter().enumerate() {
-            match node {
-                Node::Leaf { value } => {
-                    p.nodes[i].left = i as u32;
-                    p.nodes[i].right = i as u32;
-                    p.val[i] = *value;
-                }
-                Node::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                } => {
-                    p.nodes[i] = PackedNode {
-                        thr: *threshold,
-                        feat: *feature as u32,
-                        left: *left as u32,
-                        right: *right as u32,
-                    };
-                }
-            }
-        }
-        // Depth of the deepest leaf: the maximal walk length.
-        let mut stack = vec![(0u32, 0u32)];
-        while let Some((at, d)) = stack.pop() {
-            p.depth = p.depth.max(d);
-            if let Node::Split { left, right, .. } = &tree.nodes[at as usize] {
-                stack.push((*left as u32, d + 1));
-                stack.push((*right as u32, d + 1));
-            }
-        }
-        p
-    }
-
-    #[inline(always)]
-    fn step(&self, x: &[f64], at: u32) -> u32 {
-        let n = &self.nodes[at as usize];
-        if x[n.feat as usize] < n.thr {
-            n.left
-        } else {
-            n.right
-        }
-    }
-
-    /// Walks one row to its leaf value.
-    #[inline]
-    fn leaf(&self, x: &[f64]) -> f64 {
-        let mut at = 0u32;
-        for _ in 0..self.depth {
-            let next = self.step(x, at);
-            if next == at {
-                break;
-            }
-            at = next;
-        }
-        self.val[at as usize]
-    }
-}
-
-/// A forest whose node feature indices are rewritten against a
-/// [`CompactMatrix`] schema: each node records whether its column lives in
-/// the bitset or the numeric block, so traversal never consults a
-/// translation table. The comparison is unchanged — a bit rereads as
-/// exactly 0.0 or 1.0 before the `x < threshold` test — so every decision,
-/// and therefore every prediction, is bit-identical to the flat-matrix
-/// walk.
-#[derive(Clone, Debug)]
-pub struct CompiledForest {
-    trees: Vec<PackedTree>,
-    n_trees: usize,
-    n_features: usize,
-}
-
-impl PackedTree {
-    #[inline(always)]
-    fn cstep(&self, xb: &[u64], xn: &[f64], at: u32) -> u32 {
-        let n = &self.nodes[at as usize];
-        let f = n.feat;
-        let x = if f & NUMERIC_COL != 0 {
-            xn[(f & !NUMERIC_COL) as usize]
-        } else {
-            ((xb[(f >> 6) as usize] >> (f & 63)) & 1) as f64
-        };
-        if x < n.thr {
-            n.left
-        } else {
-            n.right
-        }
-    }
-
-    #[inline]
-    fn cleaf(&self, xb: &[u64], xn: &[f64]) -> f64 {
-        let mut at = 0u32;
-        for _ in 0..self.depth {
-            let next = self.cstep(xb, xn, at);
-            if next == at {
-                break;
-            }
-            at = next;
-        }
-        self.val[at as usize]
-    }
-}
-
-impl CompiledForest {
-    /// An empty forest to be filled by [`ExtraTrees::compile_into`]; keeps
-    /// its allocations across refills.
-    pub fn empty() -> CompiledForest {
-        CompiledForest {
-            trees: Vec::new(),
-            n_trees: 0,
-            n_features: 0,
-        }
-    }
-
-    /// Predicts the selected `rows` of compact matrix `c` into `out`
-    /// (cleared first); bit-identical to
-    /// [`ExtraTrees::predict_rows_into`] on the flat matrix `c` was built
-    /// from.
-    pub fn predict_rows_into(&self, c: &CompactMatrix, rows: &[u32], out: &mut Vec<f64>) {
-        out.clear();
-        out.resize(rows.len(), 0.0);
-        self.predict_rows_to(c, rows, out);
-    }
-
-    /// Slice form of [`CompiledForest::predict_rows_into`]: fills the
-    /// exactly-sized `out` without touching any allocation, so hot loops
-    /// (and parallel chunked scoring) can reuse caller-owned buffers.
-    pub fn predict_rows_to(&self, c: &CompactMatrix, rows: &[u32], out: &mut [f64]) {
-        assert_eq!(rows.len(), out.len(), "output length mismatch");
-        if rows.is_empty() {
-            return;
-        }
-        assert_eq!(c.width(), self.n_features, "feature width mismatch");
-        out.fill(0.0);
-        const BLOCK: usize = 128;
-        for (bi, chunk) in rows.chunks(BLOCK).enumerate() {
-            let acc = &mut out[bi * BLOCK..bi * BLOCK + chunk.len()];
-            for t in &self.trees {
-                const LANES: usize = 8;
-                let mut i = 0;
-                while i + LANES <= chunk.len() {
-                    let xb: [&[u64]; LANES] =
-                        std::array::from_fn(|l| c.bits_row(chunk[i + l] as usize));
-                    let xn: [&[f64]; LANES] =
-                        std::array::from_fn(|l| c.num_row(chunk[i + l] as usize));
-                    let mut at = [0u32; LANES];
-                    for _ in 0..t.depth {
-                        let mut parked = true;
-                        for l in 0..LANES {
-                            let next = t.cstep(xb[l], xn[l], at[l]);
-                            parked &= next == at[l];
-                            at[l] = next;
-                        }
-                        if parked {
-                            break;
-                        }
-                    }
-                    for l in 0..LANES {
-                        acc[i + l] += t.val[at[l] as usize];
-                    }
-                    i += LANES;
-                }
-                while i < chunk.len() {
-                    let r = chunk[i] as usize;
-                    acc[i] += t.cleaf(c.bits_row(r), c.num_row(r));
-                    i += 1;
-                }
-            }
-        }
-        let n = self.n_trees as f64;
-        for v in out.iter_mut() {
-            *v /= n;
-        }
-    }
-}
-
 /// A fitted extra-trees regression forest.
 #[derive(Clone, Debug)]
 pub struct ExtraTrees {
     trees: Vec<Tree>,
-    /// SoA mirror of `trees`, built once at fit time for batch traversal.
-    packed: Vec<PackedTree>,
     pub params: ForestParams,
     n_features: usize,
     /// Accumulated variance reduction per (binarized) feature across every
@@ -502,10 +300,8 @@ impl ExtraTrees {
         if total > 0.0 {
             importance.iter_mut().for_each(|v| *v /= total);
         }
-        let packed = trees.iter().map(PackedTree::pack).collect();
         ExtraTrees {
             trees,
-            packed,
             params,
             n_features,
             importance,
@@ -523,111 +319,25 @@ impl ExtraTrees {
         self.trees.iter().map(|t| t.predict(x)).sum::<f64>() / self.trees.len() as f64
     }
 
-    /// Predicts a batch.
-    pub fn predict_batch(&self, xs: &[Vec<f64>]) -> Vec<f64> {
-        let m = FeatureMatrix::from_rows(xs);
-        let rows: Vec<u32> = (0..xs.len() as u32).collect();
-        let mut out = Vec::new();
-        self.predict_rows_into(&m, &rows, &mut out);
-        out
+    /// The fitted trees, in fit order.
+    pub(crate) fn trees(&self) -> &[Tree] {
+        &self.trees
     }
 
-    /// Predicts every row of a flat matrix.
-    pub fn predict_rows(&self, m: &FeatureMatrix) -> Vec<f64> {
-        let rows: Vec<u32> = (0..m.n_rows() as u32).collect();
-        let mut out = Vec::new();
-        self.predict_rows_into(m, &rows, &mut out);
-        out
+    /// Binarized width the forest was fitted on.
+    pub(crate) fn n_features(&self) -> usize {
+        self.n_features
     }
 
-    /// Rewrites the forest's node feature indices against a compact-matrix
-    /// schema, for repeated scoring of the same (large) candidate pool.
-    pub fn compile(&self, schema: &CompactMatrix) -> CompiledForest {
-        let mut out = CompiledForest::empty();
-        self.compile_into(schema, &mut out);
-        out
-    }
-
-    /// [`ExtraTrees::compile`] into a reusable buffer: node and leaf
-    /// vectors are cloned in place (`clone_from`), so a search loop that
-    /// refits and recompiles every round reuses the previous round's
-    /// allocations instead of freeing and reallocating them. The filled
-    /// forest is identical to a fresh [`ExtraTrees::compile`].
-    pub fn compile_into(&self, schema: &CompactMatrix, out: &mut CompiledForest) {
-        assert_eq!(schema.width(), self.n_features, "feature width mismatch");
-        let kinds = schema.kinds();
-        out.trees.truncate(self.packed.len());
-        while out.trees.len() < self.packed.len() {
-            out.trees.push(PackedTree {
-                nodes: Vec::new(),
-                val: Vec::new(),
-                depth: 0,
-            });
-        }
-        for (dst, src) in out.trees.iter_mut().zip(&self.packed) {
-            dst.nodes.clone_from(&src.nodes);
-            dst.val.clone_from(&src.val);
-            dst.depth = src.depth;
-            for n in &mut dst.nodes {
-                n.feat = kinds[n.feat as usize];
-            }
-        }
-        out.n_trees = self.trees.len();
-        out.n_features = self.n_features;
-    }
-
-    /// Predicts the selected `rows` of `m` into `out` (cleared first).
-    ///
-    /// Bit-identical to calling [`predict`](Self::predict) per row: each
-    /// row's leaf values are accumulated in ascending tree order from 0.0
-    /// and divided once, exactly the scalar path's reduction. Rows are
-    /// processed in cache-resident blocks with the tree loop outside, so a
-    /// tree's SoA arrays stay hot across the whole block, and four rows
-    /// walk each tree at once to overlap the dependent node→child loads.
-    pub fn predict_rows_into(&self, m: &FeatureMatrix, rows: &[u32], out: &mut Vec<f64>) {
-        out.clear();
-        if rows.is_empty() {
-            return;
-        }
-        assert_eq!(m.width(), self.n_features, "feature width mismatch");
-        out.resize(rows.len(), 0.0);
-        const BLOCK: usize = 128;
-        for (bi, chunk) in rows.chunks(BLOCK).enumerate() {
-            let acc = &mut out[bi * BLOCK..bi * BLOCK + chunk.len()];
-            for t in &self.packed {
-                const LANES: usize = 8;
-                let mut i = 0;
-                while i + LANES <= chunk.len() {
-                    let x: [&[f64]; LANES] = std::array::from_fn(|l| m.row(chunk[i + l] as usize));
-                    let mut at = [0u32; LANES];
-                    // Walk until every lane self-loops at a leaf; bounded by
-                    // the tree depth, but usually far shorter because the
-                    // deepest branch is rarely hit by any of the eight rows.
-                    for _ in 0..t.depth {
-                        let mut parked = true;
-                        for l in 0..LANES {
-                            let next = t.step(x[l], at[l]);
-                            parked &= next == at[l];
-                            at[l] = next;
-                        }
-                        if parked {
-                            break;
-                        }
-                    }
-                    for l in 0..LANES {
-                        acc[i + l] += t.val[at[l] as usize];
-                    }
-                    i += LANES;
-                }
-                while i < chunk.len() {
-                    acc[i] += t.leaf(m.row(chunk[i] as usize));
-                    i += 1;
-                }
-            }
-        }
-        let n = self.trees.len() as f64;
-        for v in out.iter_mut() {
-            *v /= n;
+    /// A forest of hand-built trees, for scoring tests that need exact
+    /// thresholds and leaf values.
+    #[cfg(test)]
+    pub(crate) fn from_nodes(trees: Vec<Vec<Node>>, n_features: usize) -> ExtraTrees {
+        ExtraTrees {
+            trees: trees.into_iter().map(|nodes| Tree { nodes }).collect(),
+            params: ForestParams::default(),
+            n_features,
+            importance: vec![0.0; n_features],
         }
     }
 }
@@ -735,80 +445,5 @@ mod tests {
     #[should_panic(expected = "empty training set")]
     fn empty_fit_panics() {
         let _ = ExtraTrees::fit(&[], &[], ForestParams::default());
-    }
-
-    #[test]
-    fn packed_batch_prediction_is_bit_identical_to_scalar() {
-        let (xs, ys) = synthetic(500, 11);
-        let model = ExtraTrees::fit(&xs, &ys, ForestParams::default());
-        let (xt, _) = synthetic(333, 12); // odd size exercises the remainder lanes
-        let batch = model.predict_batch(&xt);
-        for (x, p) in xt.iter().zip(&batch) {
-            assert_eq!(model.predict(x).to_bits(), p.to_bits());
-        }
-    }
-
-    #[test]
-    fn selected_rows_match_full_matrix() {
-        let (xs, ys) = synthetic(200, 13);
-        let model = ExtraTrees::fit(&xs, &ys, ForestParams::default());
-        let m = FeatureMatrix::from_rows(&xs);
-        let full = model.predict_rows(&m);
-        let sel: Vec<u32> = (0..xs.len() as u32).rev().step_by(3).collect();
-        let mut out = Vec::new();
-        model.predict_rows_into(&m, &sel, &mut out);
-        for (r, p) in sel.iter().zip(&out) {
-            assert_eq!(full[*r as usize].to_bits(), p.to_bits());
-        }
-    }
-
-    #[test]
-    fn compiled_forest_matches_flat_matrix_bitwise() {
-        // Mixed binary (one-hot) and numeric columns, odd row count for the
-        // remainder lanes; compiled traversal must reproduce the flat-matrix
-        // predictions bit for bit.
-        let (xs, ys) = synthetic(450, 21);
-        let model = ExtraTrees::fit(&xs, &ys, ForestParams::default());
-        let (xt, _) = synthetic(301, 22);
-        let m = FeatureMatrix::from_rows(&xt);
-        let c = crate::binarize::CompactMatrix::from_matrix(&m);
-        let rows: Vec<u32> = (0..m.n_rows() as u32).collect();
-        let (mut flat, mut compact) = (Vec::new(), Vec::new());
-        model.predict_rows_into(&m, &rows, &mut flat);
-        model.compile(&c).predict_rows_into(&c, &rows, &mut compact);
-        for (a, b) in flat.iter().zip(&compact) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        // Strided selection goes through the same gather path.
-        let sel: Vec<u32> = (0..m.n_rows() as u32).rev().step_by(7).collect();
-        model.predict_rows_into(&m, &sel, &mut flat);
-        model.compile(&c).predict_rows_into(&c, &sel, &mut compact);
-        assert_eq!(flat, compact);
-    }
-
-    #[test]
-    fn compiled_forest_all_numeric_columns() {
-        // No binary column at all: the bitset block is empty and every node
-        // reads the numeric side.
-        let mut rng = StdRng::seed_from_u64(31);
-        let xs: Vec<Vec<f64>> = (0..120)
-            .map(|_| vec![rng.gen_range(0.1..0.9), rng.gen_range(0.1..0.9)])
-            .collect();
-        let ys: Vec<f64> = xs.iter().map(|x| 2.0 * x[0] - x[1]).collect();
-        let model = ExtraTrees::fit(&xs, &ys, ForestParams::default());
-        let m = FeatureMatrix::from_rows(&xs);
-        let c = crate::binarize::CompactMatrix::from_matrix(&m);
-        let rows: Vec<u32> = (0..m.n_rows() as u32).collect();
-        let (mut flat, mut compact) = (Vec::new(), Vec::new());
-        model.predict_rows_into(&m, &rows, &mut flat);
-        model.compile(&c).predict_rows_into(&c, &rows, &mut compact);
-        assert_eq!(flat, compact);
-    }
-
-    #[test]
-    fn empty_batch_predicts_empty() {
-        let (xs, ys) = synthetic(50, 14);
-        let model = ExtraTrees::fit(&xs, &ys, ForestParams::default());
-        assert!(model.predict_batch(&[]).is_empty());
     }
 }

@@ -25,11 +25,10 @@
 //! When every attempted configuration is quarantined the search returns
 //! [`SearchError::NoSurvivors`] rather than a bogus best.
 
-use crate::binarize::{CompactMatrix, FeatureMatrix};
-use crate::forest::{CompiledForest, ExtraTrees, ForestParams};
+use crate::forest::{ExtraTrees, ForestParams};
+use crate::sliced::SlicedPool;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 use std::fmt;
 use std::time::Instant;
 
@@ -286,91 +285,24 @@ impl<E: ParallelEvaluator + ?Sized> ParallelEvaluator for &E {
 
 /// Evaluation backend the shared driver is generic over: given a batch of
 /// ids decided by the search, produce `(features, outcome)` per id *in
-/// batch order*; given the fitted surrogate, score the remaining pool in
-/// index order. Features of faulted configurations are not needed and may
-/// be empty.
+/// batch order*; given the pool's ids, featurize them in order. Features
+/// of faulted configurations are not needed and may be empty.
 trait Backend {
+    /// Whether evaluation, featurization and pool scoring fan out over the
+    /// rayon pool.
+    const PARALLEL: bool;
     fn eval_batch(&mut self, ids: &[u128]) -> Vec<(Vec<f64>, Result<f64, EvalFault>)>;
-    /// Scores `remaining` into the caller-owned `out` (cleared first), so
-    /// the driver's per-round prediction buffer is reused across rounds.
-    fn score(&mut self, model: &ExtraTrees, remaining: &[u128], out: &mut Vec<f64>);
-    fn threads(&self) -> usize;
-    /// Nanoseconds spent in model prediction during `score` so far.
-    fn predict_ns(&self) -> u64 {
-        0
-    }
-}
-
-/// Featurized pool shared by every scoring pass: built once from the first
-/// pass's `remaining` set (later sets are subsets — the pool only shrinks),
-/// compressed into a [`CompactMatrix`] (one bit per one-hot column), then
-/// every pass compiles the fresh forest against that schema, gathers row
-/// indices and runs the blocked traversal over rows a tenth the size of the
-/// flat matrix. This removes both the per-pass per-candidate `Vec<f64>`
-/// featurization and the DRAM streaming that used to dominate search wall
-/// time; predictions stay bit-identical to the naive per-id path.
-struct PoolFeatures {
-    rows: CompactMatrix,
-    index: HashMap<u128, u32>,
-    sel: Vec<u32>,
-    /// Compiled-forest scratch refilled in place each pass
-    /// ([`ExtraTrees::compile_into`]), so steady-state scoring reuses the
-    /// previous round's tree allocations.
-    compiled: CompiledForest,
-}
-
-impl PoolFeatures {
-    fn build(feats: Vec<Vec<f64>>, ids: &[u128]) -> Self {
-        let rows = CompactMatrix::from_matrix(&FeatureMatrix::from_rows(&feats));
-        let index = ids
-            .iter()
-            .enumerate()
-            .map(|(i, &id)| (id, i as u32))
-            .collect();
-        PoolFeatures {
-            rows,
-            index,
-            sel: Vec::new(),
-            compiled: CompiledForest::empty(),
-        }
-    }
-
-    /// Scores `remaining` in order into `out`; bit-identical to per-id
-    /// `model.predict(features(id))` because the compiled traversal makes
-    /// the same decisions and reduces in the same tree order per row.
-    fn score(&mut self, model: &ExtraTrees, remaining: &[u128], out: &mut Vec<f64>) {
-        self.sel.clear();
-        self.sel.extend(remaining.iter().map(|id| self.index[id]));
-        model.compile_into(&self.rows, &mut self.compiled);
-        self.compiled.predict_rows_into(&self.rows, &self.sel, out);
-    }
-
-    /// Parallel variant: rows are predicted independently (no cross-row
-    /// reduction), so chunking the selection over the rayon pool — each
-    /// chunk filling its own disjoint piece of `out` — keeps every output
-    /// bit identical to the serial traversal.
-    fn score_parallel(&mut self, model: &ExtraTrees, remaining: &[u128], out: &mut Vec<f64>) {
-        self.sel.clear();
-        self.sel.extend(remaining.iter().map(|id| self.index[id]));
-        model.compile_into(&self.rows, &mut self.compiled);
-        out.clear();
-        out.resize(self.sel.len(), 0.0);
-        let rows = &self.rows;
-        let compiled = &self.compiled;
-        rayon::par_chunks_zip_mut(&self.sel, out, 2048, |c, o| {
-            compiled.predict_rows_to(rows, c, o);
-        });
-    }
+    fn featurize(&mut self, ids: &[u128]) -> Vec<Vec<f64>>;
 }
 
 struct SerialBackend<F, E> {
     features: F,
     evaluate: E,
-    pool: Option<PoolFeatures>,
-    predict_ns: u64,
 }
 
 impl<F: FnMut(u128) -> Vec<f64>, E: FnMut(u128) -> f64> Backend for SerialBackend<F, E> {
+    const PARALLEL: bool = false;
+
     fn eval_batch(&mut self, ids: &[u128]) -> Vec<(Vec<f64>, Result<f64, EvalFault>)> {
         ids.iter()
             .map(|&id| {
@@ -382,30 +314,8 @@ impl<F: FnMut(u128) -> Vec<f64>, E: FnMut(u128) -> f64> Backend for SerialBacken
             .collect()
     }
 
-    fn score(&mut self, model: &ExtraTrees, remaining: &[u128], out: &mut Vec<f64>) {
-        // The feature closure runs once per pool id — on the first scoring
-        // pass — instead of once per id per round: later `remaining` sets
-        // are subsets of the first (the pool only shrinks), so the cached
-        // compact rows answer every subsequent pass.
-        let pool = match &mut self.pool {
-            Some(p) => p,
-            None => {
-                let feats: Vec<Vec<f64>> =
-                    remaining.iter().map(|&id| (self.features)(id)).collect();
-                self.pool.insert(PoolFeatures::build(feats, remaining))
-            }
-        };
-        let t0 = Instant::now();
-        pool.score(model, remaining, out);
-        self.predict_ns += t0.elapsed().as_nanos() as u64;
-    }
-
-    fn threads(&self) -> usize {
-        1
-    }
-
-    fn predict_ns(&self) -> u64 {
-        self.predict_ns
+    fn featurize(&mut self, ids: &[u128]) -> Vec<Vec<f64>> {
+        ids.iter().map(|&id| (self.features)(id)).collect()
     }
 }
 
@@ -414,11 +324,11 @@ impl<F: FnMut(u128) -> Vec<f64>, E: FnMut(u128) -> f64> Backend for SerialBacken
 /// fault outcomes (not just values) match the parallel path bit-for-bit.
 struct SerialEvalBackend<'a, E: ParallelEvaluator> {
     evaluator: &'a E,
-    pool: Option<PoolFeatures>,
-    predict_ns: u64,
 }
 
 impl<E: ParallelEvaluator> Backend for SerialEvalBackend<'_, E> {
+    const PARALLEL: bool = false;
+
     fn eval_batch(&mut self, ids: &[u128]) -> Vec<(Vec<f64>, Result<f64, EvalFault>)> {
         ids.iter()
             .map(|&id| match self.evaluator.try_evaluate(id) {
@@ -428,38 +338,18 @@ impl<E: ParallelEvaluator> Backend for SerialEvalBackend<'_, E> {
             .collect()
     }
 
-    fn score(&mut self, model: &ExtraTrees, remaining: &[u128], out: &mut Vec<f64>) {
-        let pool = match &mut self.pool {
-            Some(p) => p,
-            None => {
-                let feats: Vec<Vec<f64>> = remaining
-                    .iter()
-                    .map(|&id| self.evaluator.features(id))
-                    .collect();
-                self.pool.insert(PoolFeatures::build(feats, remaining))
-            }
-        };
-        let t0 = Instant::now();
-        pool.score(model, remaining, out);
-        self.predict_ns += t0.elapsed().as_nanos() as u64;
-    }
-
-    fn threads(&self) -> usize {
-        1
-    }
-
-    fn predict_ns(&self) -> u64 {
-        self.predict_ns
+    fn featurize(&mut self, ids: &[u128]) -> Vec<Vec<f64>> {
+        ids.iter().map(|&id| self.evaluator.features(id)).collect()
     }
 }
 
 struct ParallelBackend<'a, E: ParallelEvaluator> {
     evaluator: &'a E,
-    pool: Option<PoolFeatures>,
-    predict_ns: u64,
 }
 
 impl<E: ParallelEvaluator> Backend for ParallelBackend<'_, E> {
+    const PARALLEL: bool = true;
+
     fn eval_batch(&mut self, ids: &[u128]) -> Vec<(Vec<f64>, Result<f64, EvalFault>)> {
         // Order-preserving indexed map: slot i holds id i's result, so the
         // fold in the driver sees batch order regardless of scheduling.
@@ -469,25 +359,8 @@ impl<E: ParallelEvaluator> Backend for ParallelBackend<'_, E> {
         })
     }
 
-    fn score(&mut self, model: &ExtraTrees, remaining: &[u128], out: &mut Vec<f64>) {
-        let pool = match &mut self.pool {
-            Some(p) => p,
-            None => {
-                let feats = rayon::par_map_slice(remaining, |&id| self.evaluator.features(id));
-                self.pool.insert(PoolFeatures::build(feats, remaining))
-            }
-        };
-        let t0 = Instant::now();
-        pool.score_parallel(model, remaining, out);
-        self.predict_ns += t0.elapsed().as_nanos() as u64;
-    }
-
-    fn threads(&self) -> usize {
-        rayon::current_num_threads()
-    }
-
-    fn predict_ns(&self) -> u64 {
-        self.predict_ns
+    fn featurize(&mut self, ids: &[u128]) -> Vec<Vec<f64>> {
+        rayon::par_map_slice(ids, |&id| self.evaluator.features(id))
     }
 }
 
@@ -504,16 +377,7 @@ pub fn surf_search(
     evaluate: impl FnMut(u128) -> f64,
     params: SurfParams,
 ) -> Result<SurfResult, SearchError> {
-    drive(
-        pool,
-        &mut SerialBackend {
-            features,
-            evaluate,
-            pool: None,
-            predict_ns: 0,
-        },
-        params,
-    )
+    drive(pool, &mut SerialBackend { features, evaluate }, params)
 }
 
 /// Runs SURF over `pool` with a [`ParallelEvaluator`] on the calling
@@ -525,15 +389,7 @@ pub fn surf_search_serial<E: ParallelEvaluator>(
     evaluator: &E,
     params: SurfParams,
 ) -> Result<SurfResult, SearchError> {
-    drive(
-        pool,
-        &mut SerialEvalBackend {
-            evaluator,
-            pool: None,
-            predict_ns: 0,
-        },
-        params,
-    )
+    drive(pool, &mut SerialEvalBackend { evaluator }, params)
 }
 
 /// Runs SURF over `pool`, fanning each batch evaluation and each surrogate
@@ -546,15 +402,7 @@ pub fn surf_search_parallel<E: ParallelEvaluator>(
     evaluator: &E,
     params: SurfParams,
 ) -> Result<SurfResult, SearchError> {
-    drive(
-        pool,
-        &mut ParallelBackend {
-            evaluator,
-            pool: None,
-            predict_ns: 0,
-        },
-        params,
-    )
+    drive(pool, &mut ParallelBackend { evaluator }, params)
 }
 
 fn drive<B: Backend>(
@@ -685,8 +533,13 @@ fn drive<B: Backend>(
     );
     batches += 1;
 
-    // Per-round scratch, reused across the whole iterative phase so
-    // steady-state prediction and batch selection allocate nothing.
+    // The featurized pool, laid out once on the first scoring pass, and
+    // the pool row of each `remaining` id, kept in step with `remaining`.
+    // From that pass on `remaining` only loses ids, so the feature closure
+    // runs once per pool id instead of once per id per round.
+    let mut sliced: Option<(SlicedPool, Vec<u32>)> = None;
+    let mut predict_ns = 0u64;
+    // Per-round scratch, reused across the whole iterative phase.
     let mut preds: Vec<f64> = Vec::new();
     let mut scored: Vec<(usize, f64)> = Vec::new();
     let mut chosen_idx: Vec<usize> = Vec::new();
@@ -711,31 +564,44 @@ fn drive<B: Backend>(
         } else {
             let model = ExtraTrees::fit(&xs, &ys, params.forest);
             // Predict all remaining configs, take the best-predicted batch.
-            backend.score(&model, &remaining, &mut preds);
-            scored.clear();
-            scored.extend(preds.iter().copied().enumerate());
-            scored.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+            let (pool, rows) = sliced.get_or_insert_with(|| {
+                let feats = backend.featurize(&remaining);
+                (
+                    SlicedPool::from_rows(&feats),
+                    (0..remaining.len() as u32).collect(),
+                )
+            });
+            let t0 = Instant::now();
+            pool.score(&model, rows, B::PARALLEL, &mut preds);
+            predict_ns += t0.elapsed().as_nanos() as u64;
 
             // Model-confidence stop: how much of the pool still looks
             // competitive with the incumbent?
             if let (Some(stop), Some((_, by))) = (params.unpromising_stop, best) {
                 if evaluated.len() >= stop.min_evals {
-                    let promising = scored
+                    let promising = preds
                         .iter()
-                        .filter(|(_, pred)| *pred <= by * (1.0 + stop.delta))
+                        .filter(|&&pred| pred <= by * (1.0 + stop.delta))
                         .count();
-                    let frac = promising as f64 / scored.len() as f64;
+                    let frac = promising as f64 / preds.len() as f64;
                     if frac < stop.epsilon {
                         break;
                     }
                 }
             }
 
+            // The `take` best under the (prediction, index) total order.
+            // Their order does not matter (they are re-sorted below), so a
+            // selection replaces a full sort of the pool.
+            scored.clear();
+            scored.extend(preds.iter().copied().enumerate());
+            scored.select_nth_unstable_by(take - 1, |a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
             chosen_idx.clear();
             chosen_idx.extend(scored[..take].iter().map(|(k, _)| *k));
             chosen_idx.sort_unstable_by(|a, b| b.cmp(a)); // remove from the back
             for &k in &chosen_idx {
                 ids.push(remaining.swap_remove(k));
+                rows.swap_remove(k);
             }
         }
 
@@ -777,9 +643,13 @@ fn drive<B: Backend>(
             quarantined,
             status,
             batches,
-            threads: backend.threads(),
+            threads: if B::PARALLEL {
+                rayon::current_num_threads()
+            } else {
+                1
+            },
             wall_s: start.elapsed().as_secs_f64(),
-            predict_ns: backend.predict_ns(),
+            predict_ns,
             duplicates_pruned,
         }),
         None => Err(SearchError::NoSurvivors {
@@ -1098,5 +968,37 @@ mod tests {
         assert!(res.best_y.is_finite());
         // Only the init batch ran before the deadline check fired.
         assert_eq!(res.batches, 1);
+    }
+
+    /// Coarse features give most candidates the same prediction, so the
+    /// batch is decided by the index half of the (prediction, index)
+    /// order. The ids are the ones a full sort of every round's
+    /// predictions picked; the selection must pick the same.
+    #[test]
+    fn batch_selection_matches_full_sort_on_tied_predictions() {
+        let coarse = |id: u128| vec![(id % 4) as f64 / 3.0, (id / 4 % 3) as f64 / 2.0];
+        let eval = |id: u128| {
+            ((id % 4) as f64 - 2.0).powi(2) + (id / 4 % 3) as f64 + (id % 7) as f64 * 0.01
+        };
+        let pool: Vec<u128> = (0..600).collect();
+        let params = SurfParams {
+            max_evals: 80,
+            ..Default::default()
+        };
+        let res = surf_search(&pool, coarse, eval, params).unwrap();
+        let full_sort: [u128; 80] = [
+            397, 59, 530, 525, 118, 416, 588, 202, 502, 296, 122, 567, 26, 51, 555, 15, 362, 303,
+            170, 182, 218, 590, 338, 134, 482, 50, 14, 374, 398, 578, 86, 554, 110, 506, 542, 434,
+            2, 206, 62, 302, 230, 458, 326, 446, 566, 386, 98, 470, 278, 422, 74, 494, 314, 290,
+            350, 158, 410, 518, 194, 242, 266, 146, 38, 254, 519, 87, 99, 375, 75, 135, 123, 459,
+            147, 3, 471, 483, 207, 231, 399, 39,
+        ];
+        let ids: Vec<u128> = res.evaluated.iter().map(|&(id, _)| id).collect();
+        assert_eq!(ids, full_sort);
+        assert!(res
+            .evaluated
+            .iter()
+            .all(|&(id, y)| y.to_bits() == eval(id).to_bits()));
+        assert_eq!(res.batches, 8);
     }
 }
