@@ -13,21 +13,19 @@
 //! Plans are versioned hand-rolled JSON (see [`crate::json`] — no serde in
 //! this repo): `f64` values round-trip bit-exactly via Rust's shortest
 //! `Display`, and `u128`/`u64` quantities that exceed double precision
-//! travel as strings. Schema v3 (current) embeds the search objective
-//! (weights, memory budget, budget mode) plus the pick's modeled memory
-//! statistics; v2 added the quarantine entries, per-op memo statistics and
-//! the backend cache salt. Older plans still parse read-only (missing
-//! fields default to empty/zero, the objective to time-only) so old
-//! artifacts replay or are reported as stale by `barracuda plans gc`
-//! rather than erroring. [`TunedPlan::replay`] rejects a plan whose schema
-//! version, workload fingerprint or backend cache salt no longer matches
-//! with a typed [`BarracudaError::Plan`] (CLI exit code 10), then re-maps
-//! and re-times the configuration — bit-identical to the saved numbers,
-//! since the simulator is deterministic — without searching anything.
+//! travel as strings. There is one format, schema
+//! [`PLAN_SCHEMA_VERSION`]; the reader rejects any other version with a
+//! typed [`BarracudaError::Plan`] (CLI exit code 10). The plan store
+//! addresses entries by schema too, so an older artifact is never looked
+//! up: `barracuda plans gc` evicts it by file name.
+//! [`TunedPlan::replay_built_in`] rejects a plan whose workload
+//! fingerprint or backend cache salt no longer matches, then re-maps and
+//! re-times the configuration — bit-identical to the saved numbers, since
+//! the simulator is deterministic — without searching anything.
 //! Replaying under a different objective than the plan was tuned for is
 //! the same class of error: use [`TunedPlan::validate_objective`].
 
-use crate::backend::backend_by_key;
+use crate::backend::{Backend, BackendSet};
 use crate::cache::{EvalCache, HotPathSnapshot};
 use crate::error::BarracudaError;
 use crate::json::Json;
@@ -39,18 +37,10 @@ use crate::stages::SearchStats;
 use crate::workload::Workload;
 use surf::SearchStatus;
 
-/// Version of the on-disk plan schema. Bump on any incompatible change;
-/// readers accept the current version plus the legacy versions listed in
-/// [`PLAN_SCHEMA_READABLE`] and reject everything else rather than
-/// misinterpreting fields.
+/// Version of the on-disk plan schema: the only one this build writes or
+/// reads. Bump on any incompatible change; readers reject every other
+/// version rather than misinterpreting fields.
 pub const PLAN_SCHEMA_VERSION: u64 = 3;
-
-/// Schema versions this build can still read. v1 plans (PR 4) lack the
-/// quarantine entries, memo counters and cache salt; v2 plans lack the
-/// search objective and memory statistics. Both parse with those fields
-/// empty/zero (objective: time-only) and are flagged stale by the plan
-/// store.
-pub const PLAN_SCHEMA_READABLE: [u64; 3] = [1, 2, PLAN_SCHEMA_VERSION];
 
 /// How the saved configuration was found: the search's bookkeeping,
 /// flattened for serialization.
@@ -67,34 +57,31 @@ pub struct PlanProvenance {
     pub cache_hit_rate: f64,
     pub per_op_hit_rate: f64,
     pub time_hit_rate: f64,
-    /// Feature-memo hits/misses (schema v2; zero in v1 plans).
+    /// Feature-memo hits/misses.
     pub cache_hits: usize,
     pub cache_misses: usize,
-    /// Per-op decomposed-memo hits/misses (schema v2; zero in v1 plans).
+    /// Per-op decomposed-memo hits/misses.
     pub per_op_hits: usize,
     pub per_op_misses: usize,
-    /// Whole-config time-memo hits/misses (schema v2; zero in v1 plans).
+    /// Whole-config time-memo hits/misses.
     pub time_hits: usize,
     pub time_misses: usize,
-    /// Hot-path stage times at the end of the search (schema v2; zero in
-    /// v1 plans). Serialized as decimal strings — nanosecond totals can
-    /// exceed the 2^53 doubles carry exactly.
+    /// Hot-path stage times at the end of the search. Serialized as
+    /// decimal strings — nanosecond totals can exceed the 2^53 doubles
+    /// carry exactly.
     pub hot_decode_ns: u64,
     pub hot_map_ns: u64,
     pub hot_sim_ns: u64,
     pub hot_predict_ns: u64,
     /// Pool candidates pruned before the search because their modeled peak
-    /// exceeded the objective's memory budget (schema v3; zero in older
-    /// plans or without a budget).
+    /// exceeded the objective's memory budget (zero without a budget).
     pub pruned_by_memory: usize,
     /// Distinct `(statement, version)` pairs over the memory budget
-    /// (schema v3; zero in older plans or without a budget).
+    /// (zero without a budget).
     pub versions_over_budget: usize,
-    /// Modeled peak live temporary bytes of the chosen configuration
-    /// (schema v3; zero in older plans).
+    /// Modeled peak live temporary bytes of the chosen configuration.
     pub peak_temp_bytes: u64,
-    /// Modeled global read+write volume of the chosen configuration
-    /// (schema v3; zero in older plans).
+    /// Modeled global read+write volume of the chosen configuration.
     pub rw_bytes: u64,
     /// Whether the search stopped early (budget, deadline, survivors).
     pub degraded: bool,
@@ -115,7 +102,6 @@ pub struct PlanChoice {
 /// the winning configuration without re-running the search.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TunedPlan {
-    pub schema_version: u64,
     pub workload_name: String,
     /// Canonical DSL source (statement `Display` forms, one per line).
     pub source: String,
@@ -126,10 +112,9 @@ pub struct TunedPlan {
     pub fingerprint: u64,
     /// Backend registry key the plan was tuned for (`k20`, `gtx980`, …).
     pub backend: String,
-    /// The backend's [`crate::backend::Backend::cache_salt`] at save time
-    /// (schema v2). Replay refuses a plan whose salt differs from the live
-    /// backend's — a changed model or architecture must re-tune, never
-    /// serve a stale mapping. Zero means unknown (legacy v1 plan).
+    /// The backend's [`Backend::cache_salt`] at save time. Replay refuses
+    /// a plan whose salt differs from the live backend's — a changed model
+    /// or architecture must re-tune, never serve a stale mapping.
     pub cache_salt: u64,
     /// Human-readable architecture name at save time.
     pub arch_name: String,
@@ -140,13 +125,13 @@ pub struct TunedPlan {
     pub gpu_seconds: f64,
     pub transfer_seconds: f64,
     pub flops: u64,
-    /// Full quarantine report of the search (schema v2; empty in v1
-    /// plans), so replay reconstructs exactly what the tuning run showed.
+    /// Full quarantine report of the search, so replay reconstructs
+    /// exactly what the tuning run showed.
     pub quarantine: Vec<QuarantineEntry>,
-    /// The objective the search minimized (schema v3; time-only in older
-    /// plans). Replay under a different objective is refused — a plan
-    /// tuned for a memory budget is not the time-optimal answer and vice
-    /// versa. See [`TunedPlan::validate_objective`].
+    /// The objective the search minimized. Replay under a different
+    /// objective is refused — a plan tuned for a memory budget is not the
+    /// time-optimal answer and vice versa. See
+    /// [`TunedPlan::validate_objective`].
     pub objective: Objective,
     pub provenance: PlanProvenance,
 }
@@ -154,28 +139,12 @@ pub struct TunedPlan {
 impl TunedPlan {
     /// Captures a finished tuning run as a plan. The `tuner` must be the
     /// one the result came from (it decomposes the joint id), and
-    /// `backend` the built-in registry key of the architecture searched.
-    /// Runtime-loaded backends go through [`TunedPlan::from_tuned_for`].
-    pub fn from_tuned(tuner: &WorkloadTuner, backend: &str, tuned: &TunedWorkload) -> TunedPlan {
-        let salt = backend_by_key(backend).map_or(0, |b| b.cache_salt());
-        Self::from_parts(tuner, backend, salt, tuned)
-    }
-
-    /// [`TunedPlan::from_tuned`] with the backend already resolved — the
-    /// salt provenance records the backend's descriptor digest, whichever
-    /// set it was loaded from.
+    /// `backend` the backend searched — the plan records its key and its
+    /// cache salt (the descriptor digest, whichever set it was loaded
+    /// from).
     pub fn from_tuned_for(
         tuner: &WorkloadTuner,
-        backend: &dyn crate::backend::Backend,
-        tuned: &TunedWorkload,
-    ) -> TunedPlan {
-        Self::from_parts(tuner, backend.key(), backend.cache_salt(), tuned)
-    }
-
-    fn from_parts(
-        tuner: &WorkloadTuner,
-        backend: &str,
-        cache_salt: u64,
+        backend: &dyn Backend,
         tuned: &TunedWorkload,
     ) -> TunedPlan {
         let locals = tuner.decode(tuned.id);
@@ -190,7 +159,6 @@ impl TunedPlan {
             .collect();
         let s = &tuned.search;
         TunedPlan {
-            schema_version: PLAN_SCHEMA_VERSION,
             workload_name: tuner.workload.name.clone(),
             source: canonical_source(&tuner.workload),
             dims: tuner
@@ -200,8 +168,8 @@ impl TunedPlan {
                 .map(|(v, &n)| (v.name().to_string(), n))
                 .collect(),
             fingerprint: workload_fingerprint(&tuner.workload),
-            backend: backend.to_string(),
-            cache_salt,
+            backend: backend.key().to_string(),
+            cache_salt: backend.cache_salt(),
             arch_name: tuned.arch_name.clone(),
             id: tuned.id,
             choices,
@@ -245,100 +213,43 @@ impl TunedPlan {
         }
     }
 
-    /// Whether the plan predates the current schema — readable, but the
-    /// plan store treats it as evictable (`plans gc --schema-older-than`).
-    pub fn is_stale(&self) -> bool {
-        self.schema_version < PLAN_SCHEMA_VERSION
-    }
-
-    /// The plan as pretty-printed JSON text. A plan whose
-    /// `schema_version` is 1 or 2 is written in that legacy layout (v1: no
-    /// salt, quarantine or memo counters; v2: no objective or memory
-    /// statistics), so tests and migration tooling can produce
-    /// byte-faithful legacy artifacts.
+    /// The plan as pretty-printed JSON text, schema
+    /// [`PLAN_SCHEMA_VERSION`].
     pub fn to_json_text(&self) -> String {
-        let v2 = self.schema_version >= 2;
-        let v3 = self.schema_version >= 3;
         let p = &self.provenance;
-        let mut top = vec![
-            (
-                "schema_version".into(),
-                Json::Num(self.schema_version as f64),
-            ),
-            ("workload".into(), Json::Str(self.workload_name.clone())),
-            ("source".into(), Json::Str(self.source.clone())),
-            (
-                "dims".into(),
-                Json::Obj(
-                    self.dims
-                        .iter()
-                        .map(|(name, n)| (name.clone(), Json::Num(*n as f64)))
-                        .collect(),
-                ),
-            ),
-            (
-                "fingerprint".into(),
-                Json::Str(format!("{:016x}", self.fingerprint)),
-            ),
-            ("backend".into(), Json::Str(self.backend.clone())),
-        ];
-        if v2 {
-            top.push((
-                "cache_salt".into(),
-                Json::Str(format!("{:016x}", self.cache_salt)),
-            ));
-        }
-        top.push(("arch_name".into(), Json::Str(self.arch_name.clone())));
-        top.push(("id".into(), Json::Str(self.id.to_string())));
-        top.push((
-            "choices".into(),
-            Json::Arr(
-                self.choices
-                    .iter()
-                    .map(|c| {
-                        Json::Obj(vec![
-                            ("version".into(), Json::Num(c.version as f64)),
-                            ("local".into(), Json::Str(c.local.to_string())),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ));
-        top.push(("gpu_seconds".into(), Json::Num(self.gpu_seconds)));
-        top.push(("transfer_seconds".into(), Json::Num(self.transfer_seconds)));
-        top.push(("flops".into(), Json::Str(self.flops.to_string())));
-        if v2 {
-            top.push((
-                "quarantine".into(),
-                Json::Arr(
-                    self.quarantine
-                        .iter()
-                        .map(|e| {
-                            Json::Obj(vec![
-                                ("stage".into(), Json::Str(e.stage.as_str().to_string())),
-                                (
-                                    "statement".into(),
-                                    e.statement.map_or(Json::Null, |s| Json::Num(s as f64)),
-                                ),
-                                (
-                                    "version".into(),
-                                    e.version.map_or(Json::Null, |v| Json::Num(v as f64)),
-                                ),
-                                (
-                                    "config".into(),
-                                    e.config.map_or(Json::Null, |c| Json::Str(c.to_string())),
-                                ),
-                                ("reason".into(), Json::Str(e.reason.clone())),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ));
-        }
-        if v3 {
-            top.push(("objective".into(), self.objective.to_json()));
-        }
-        let mut prov = vec![
+        let quarantine = self
+            .quarantine
+            .iter()
+            .map(|e| {
+                Json::Obj(vec![
+                    ("stage".into(), Json::Str(e.stage.as_str().to_string())),
+                    (
+                        "statement".into(),
+                        e.statement.map_or(Json::Null, |s| Json::Num(s as f64)),
+                    ),
+                    (
+                        "version".into(),
+                        e.version.map_or(Json::Null, |v| Json::Num(v as f64)),
+                    ),
+                    (
+                        "config".into(),
+                        e.config.map_or(Json::Null, |c| Json::Str(c.to_string())),
+                    ),
+                    ("reason".into(), Json::Str(e.reason.clone())),
+                ])
+            })
+            .collect();
+        let choices = self
+            .choices
+            .iter()
+            .map(|c| {
+                Json::Obj(vec![
+                    ("version".into(), Json::Num(c.version as f64)),
+                    ("local".into(), Json::Str(c.local.to_string())),
+                ])
+            })
+            .collect();
+        let prov = vec![
             ("n_evals".into(), Json::Num(p.n_evals as f64)),
             ("batches".into(), Json::Num(p.batches as f64)),
             ("space_size".into(), Json::Str(p.space_size.to_string())),
@@ -356,15 +267,13 @@ impl TunedPlan {
             ("cache_hit_rate".into(), Json::Num(p.cache_hit_rate)),
             ("per_op_hit_rate".into(), Json::Num(p.per_op_hit_rate)),
             ("time_hit_rate".into(), Json::Num(p.time_hit_rate)),
-        ];
-        if v2 {
-            prov.push(("cache_hits".into(), Json::Num(p.cache_hits as f64)));
-            prov.push(("cache_misses".into(), Json::Num(p.cache_misses as f64)));
-            prov.push(("per_op_hits".into(), Json::Num(p.per_op_hits as f64)));
-            prov.push(("per_op_misses".into(), Json::Num(p.per_op_misses as f64)));
-            prov.push(("time_hits".into(), Json::Num(p.time_hits as f64)));
-            prov.push(("time_misses".into(), Json::Num(p.time_misses as f64)));
-            prov.push((
+            ("cache_hits".into(), Json::Num(p.cache_hits as f64)),
+            ("cache_misses".into(), Json::Num(p.cache_misses as f64)),
+            ("per_op_hits".into(), Json::Num(p.per_op_hits as f64)),
+            ("per_op_misses".into(), Json::Num(p.per_op_misses as f64)),
+            ("time_hits".into(), Json::Num(p.time_hits as f64)),
+            ("time_misses".into(), Json::Num(p.time_misses as f64)),
+            (
                 "hot".into(),
                 Json::Obj(vec![
                     ("decode_ns".into(), Json::Str(p.hot_decode_ns.to_string())),
@@ -372,34 +281,63 @@ impl TunedPlan {
                     ("sim_ns".into(), Json::Str(p.hot_sim_ns.to_string())),
                     ("predict_ns".into(), Json::Str(p.hot_predict_ns.to_string())),
                 ]),
-            ));
-        }
-        if v3 {
-            prov.push((
+            ),
+            (
                 "pruned_by_memory".into(),
                 Json::Num(p.pruned_by_memory as f64),
-            ));
-            prov.push((
+            ),
+            (
                 "versions_over_budget".into(),
                 Json::Num(p.versions_over_budget as f64),
-            ));
-            prov.push((
+            ),
+            (
                 "peak_temp_bytes".into(),
                 Json::Str(p.peak_temp_bytes.to_string()),
-            ));
-            prov.push(("rw_bytes".into(), Json::Str(p.rw_bytes.to_string())));
-        }
-        prov.push(("degraded".into(), Json::Bool(p.degraded)));
-        prov.push(("status".into(), Json::Str(p.status.clone())));
-        top.push(("provenance".into(), Json::Obj(prov)));
-        Json::Obj(top).to_string_pretty()
+            ),
+            ("rw_bytes".into(), Json::Str(p.rw_bytes.to_string())),
+            ("degraded".into(), Json::Bool(p.degraded)),
+            ("status".into(), Json::Str(p.status.clone())),
+        ];
+        Json::Obj(vec![
+            (
+                "schema_version".into(),
+                Json::Num(PLAN_SCHEMA_VERSION as f64),
+            ),
+            ("workload".into(), Json::Str(self.workload_name.clone())),
+            ("source".into(), Json::Str(self.source.clone())),
+            (
+                "dims".into(),
+                Json::Obj(
+                    self.dims
+                        .iter()
+                        .map(|(name, n)| (name.clone(), Json::Num(*n as f64)))
+                        .collect(),
+                ),
+            ),
+            (
+                "fingerprint".into(),
+                Json::Str(format!("{:016x}", self.fingerprint)),
+            ),
+            ("backend".into(), Json::Str(self.backend.clone())),
+            (
+                "cache_salt".into(),
+                Json::Str(format!("{:016x}", self.cache_salt)),
+            ),
+            ("arch_name".into(), Json::Str(self.arch_name.clone())),
+            ("id".into(), Json::Str(self.id.to_string())),
+            ("choices".into(), Json::Arr(choices)),
+            ("gpu_seconds".into(), Json::Num(self.gpu_seconds)),
+            ("transfer_seconds".into(), Json::Num(self.transfer_seconds)),
+            ("flops".into(), Json::Str(self.flops.to_string())),
+            ("quarantine".into(), Json::Arr(quarantine)),
+            ("objective".into(), self.objective.to_json()),
+            ("provenance".into(), Json::Obj(prov)),
+        ])
+        .to_string_pretty()
     }
 
-    /// Parses a plan from JSON text, rejecting unknown schema versions.
-    /// Older schemas parse read-only: v2-only fields (cache salt,
-    /// quarantine entries, memo counters, hot-path times) default to
-    /// empty/zero in v1 plans, and v3-only fields (objective, memory
-    /// statistics) default to time-only/zero in v1 and v2 plans.
+    /// Parses a plan from JSON text, rejecting every schema version but
+    /// [`PLAN_SCHEMA_VERSION`].
     pub fn from_json_text(text: &str) -> Result<TunedPlan, BarracudaError> {
         let err = |detail: String| BarracudaError::Plan {
             workload: "plan".to_string(),
@@ -416,20 +354,15 @@ impl TunedPlan {
                 .map(str::to_string)
                 .ok_or_else(|| err(format!("field `{key}` must be a string")))
         };
-        let num_field = |key: &str| {
-            field(key)?
-                .as_u64()
-                .ok_or_else(|| err(format!("field `{key}` must be an integer")))
-        };
-        let schema_version = num_field("schema_version")?;
-        if !PLAN_SCHEMA_READABLE.contains(&schema_version) {
+        let schema_version = field("schema_version")?
+            .as_u64()
+            .ok_or_else(|| err("field `schema_version` must be an integer".to_string()))?;
+        if schema_version != PLAN_SCHEMA_VERSION {
             return Err(err(format!(
-                "unsupported schema version {schema_version} (this build writes \
-                 {PLAN_SCHEMA_VERSION} and reads {PLAN_SCHEMA_READABLE:?})"
+                "unsupported schema version {schema_version} (this build reads only schema \
+                 {PLAN_SCHEMA_VERSION}) — re-tune to write a current plan"
             )));
         }
-        let v2 = schema_version >= 2;
-        let v3 = schema_version >= 3;
         let workload_name = str_field("workload")?;
         let perr = |detail: String| BarracudaError::Plan {
             workload: workload_name.clone(),
@@ -442,6 +375,19 @@ impl TunedPlan {
                 .ok_or_else(|| perr(format!("missing string field `{key}`")))?
                 .parse::<u128>()
                 .map_err(|_| perr(format!("field `{key}` is not a decimal u128")))
+        };
+        // u64 quantities that may exceed 2^53 travel as decimal strings.
+        let u64_field = |parent: &Json, key: &str| -> Result<u64, BarracudaError> {
+            parent
+                .get(key)
+                .and_then(Json::as_str)
+                .ok_or_else(|| perr(format!("missing string field `{key}`")))?
+                .parse::<u64>()
+                .map_err(|_| perr(format!("field `{key}` is not a decimal u64")))
+        };
+        let hex_field = |key: &str| -> Result<u64, BarracudaError> {
+            u64::from_str_radix(&str_field(key)?, 16)
+                .map_err(|_| perr(format!("field `{key}` is not a hex u64")))
         };
         let f64_field = |parent: &Json, key: &str| -> Result<f64, BarracudaError> {
             parent
@@ -456,44 +402,6 @@ impl TunedPlan {
                 .map(|n| n as usize)
                 .ok_or_else(|| perr(format!("missing integer field `{key}`")))
         };
-        // v2-only: required at schema 2, defaulted at schema 1.
-        let usize_v2 = |parent: &Json, key: &str| -> Result<usize, BarracudaError> {
-            if v2 {
-                usize_field(parent, key)
-            } else {
-                Ok(0)
-            }
-        };
-        let ns_v2 = |parent: &Json, key: &str| -> Result<u64, BarracudaError> {
-            if !v2 {
-                return Ok(0);
-            }
-            parent
-                .get(key)
-                .and_then(Json::as_str)
-                .ok_or_else(|| perr(format!("missing string field `{key}`")))?
-                .parse::<u64>()
-                .map_err(|_| perr(format!("field `{key}` is not a decimal u64")))
-        };
-        // v3-only: required at schema 3, defaulted at older schemas.
-        let usize_v3 = |parent: &Json, key: &str| -> Result<usize, BarracudaError> {
-            if v3 {
-                usize_field(parent, key)
-            } else {
-                Ok(0)
-            }
-        };
-        let bytes_v3 = |parent: &Json, key: &str| -> Result<u64, BarracudaError> {
-            if !v3 {
-                return Ok(0);
-            }
-            parent
-                .get(key)
-                .and_then(Json::as_str)
-                .ok_or_else(|| perr(format!("missing string field `{key}`")))?
-                .parse::<u64>()
-                .map_err(|_| perr(format!("field `{key}` is not a decimal u64")))
-        };
         let dims = match field("dims")? {
             Json::Obj(members) => members
                 .iter()
@@ -504,14 +412,6 @@ impl TunedPlan {
                 })
                 .collect::<Result<Vec<_>, _>>()?,
             _ => return Err(perr("field `dims` must be an object".to_string())),
-        };
-        let fingerprint = u64::from_str_radix(&str_field("fingerprint")?, 16)
-            .map_err(|_| perr("field `fingerprint` is not a hex u64".to_string()))?;
-        let cache_salt = if v2 {
-            u64::from_str_radix(&str_field("cache_salt")?, 16)
-                .map_err(|_| perr("field `cache_salt` is not a hex u64".to_string()))?
-        } else {
-            0
         };
         let choices = field("choices")?
             .as_arr()
@@ -524,70 +424,52 @@ impl TunedPlan {
                 })
             })
             .collect::<Result<Vec<_>, BarracudaError>>()?;
-        let quarantine = if v2 {
-            field("quarantine")?
-                .as_arr()
-                .ok_or_else(|| perr("field `quarantine` must be an array".to_string()))?
-                .iter()
-                .enumerate()
-                .map(|(i, e)| {
-                    let tag = e
-                        .get("stage")
+        let quarantine = field("quarantine")?
+            .as_arr()
+            .ok_or_else(|| perr("field `quarantine` must be an array".to_string()))?
+            .iter()
+            .enumerate()
+            .map(|(i, e)| {
+                let tag = e
+                    .get("stage")
+                    .and_then(Json::as_str)
+                    .ok_or_else(|| perr(format!("quarantine entry {i}: missing `stage`")))?;
+                let stage = QuarantineStage::from_tag(tag)
+                    .ok_or_else(|| perr(format!("quarantine entry {i}: unknown stage `{tag}`")))?;
+                let opt_usize = |key: &str| match e.get(key) {
+                    None | Some(Json::Null) => Ok(None),
+                    Some(v) => v.as_u64().map(|n| Some(n as usize)).ok_or_else(|| {
+                        perr(format!("quarantine entry {i}: `{key}` must be an integer"))
+                    }),
+                };
+                let config = match e.get("config") {
+                    None | Some(Json::Null) => None,
+                    Some(v) => Some(v.as_str().and_then(|s| s.parse::<u128>().ok()).ok_or_else(
+                        || {
+                            perr(format!(
+                                "quarantine entry {i}: `config` must be a decimal u128 string"
+                            ))
+                        },
+                    )?),
+                };
+                Ok(QuarantineEntry {
+                    stage,
+                    statement: opt_usize("statement")?,
+                    version: opt_usize("version")?,
+                    config,
+                    reason: e
+                        .get("reason")
                         .and_then(Json::as_str)
-                        .ok_or_else(|| perr(format!("quarantine entry {i}: missing `stage`")))?;
-                    let stage = QuarantineStage::from_tag(tag).ok_or_else(|| {
-                        perr(format!("quarantine entry {i}: unknown stage `{tag}`"))
-                    })?;
-                    let opt_usize = |key: &str| match e.get(key) {
-                        None | Some(Json::Null) => Ok(None),
-                        Some(v) => v.as_u64().map(|n| Some(n as usize)).ok_or_else(|| {
-                            perr(format!("quarantine entry {i}: `{key}` must be an integer"))
-                        }),
-                    };
-                    let config = match e.get("config") {
-                        None | Some(Json::Null) => None,
-                        Some(v) => {
-                            Some(v.as_str().and_then(|s| s.parse::<u128>().ok()).ok_or_else(
-                                || {
-                                    perr(format!(
-                                        "quarantine entry {i}: `config` must be a decimal u128 \
-                                         string"
-                                    ))
-                                },
-                            )?)
-                        }
-                    };
-                    Ok(QuarantineEntry {
-                        stage,
-                        statement: opt_usize("statement")?,
-                        version: opt_usize("version")?,
-                        config,
-                        reason: e
-                            .get("reason")
-                            .and_then(Json::as_str)
-                            .map(str::to_string)
-                            .ok_or_else(|| {
-                                perr(format!("quarantine entry {i}: missing `reason`"))
-                            })?,
-                    })
+                        .map(str::to_string)
+                        .ok_or_else(|| perr(format!("quarantine entry {i}: missing `reason`")))?,
                 })
-                .collect::<Result<Vec<_>, BarracudaError>>()?
-        } else {
-            Vec::new()
-        };
-        let objective = if v3 {
-            let o = field("objective")?;
-            Objective::from_json(o).map_err(&perr)?
-        } else {
-            Objective::time_only()
-        };
+            })
+            .collect::<Result<Vec<_>, BarracudaError>>()?;
+        let objective = Objective::from_json(field("objective")?).map_err(&perr)?;
         let prov = field("provenance")?;
-        let hot = if v2 {
-            prov.get("hot")
-                .ok_or_else(|| perr("missing object field `hot`".to_string()))?
-        } else {
-            &Json::Null
-        };
+        let hot = prov
+            .get("hot")
+            .ok_or_else(|| perr("missing object field `hot`".to_string()))?;
         let provenance = PlanProvenance {
             n_evals: usize_field(prov, "n_evals")?,
             batches: usize_field(prov, "batches")?,
@@ -600,20 +482,20 @@ impl TunedPlan {
             cache_hit_rate: f64_field(prov, "cache_hit_rate")?,
             per_op_hit_rate: f64_field(prov, "per_op_hit_rate")?,
             time_hit_rate: f64_field(prov, "time_hit_rate")?,
-            cache_hits: usize_v2(prov, "cache_hits")?,
-            cache_misses: usize_v2(prov, "cache_misses")?,
-            per_op_hits: usize_v2(prov, "per_op_hits")?,
-            per_op_misses: usize_v2(prov, "per_op_misses")?,
-            time_hits: usize_v2(prov, "time_hits")?,
-            time_misses: usize_v2(prov, "time_misses")?,
-            hot_decode_ns: ns_v2(hot, "decode_ns")?,
-            hot_map_ns: ns_v2(hot, "map_ns")?,
-            hot_sim_ns: ns_v2(hot, "sim_ns")?,
-            hot_predict_ns: ns_v2(hot, "predict_ns")?,
-            pruned_by_memory: usize_v3(prov, "pruned_by_memory")?,
-            versions_over_budget: usize_v3(prov, "versions_over_budget")?,
-            peak_temp_bytes: bytes_v3(prov, "peak_temp_bytes")?,
-            rw_bytes: bytes_v3(prov, "rw_bytes")?,
+            cache_hits: usize_field(prov, "cache_hits")?,
+            cache_misses: usize_field(prov, "cache_misses")?,
+            per_op_hits: usize_field(prov, "per_op_hits")?,
+            per_op_misses: usize_field(prov, "per_op_misses")?,
+            time_hits: usize_field(prov, "time_hits")?,
+            time_misses: usize_field(prov, "time_misses")?,
+            hot_decode_ns: u64_field(hot, "decode_ns")?,
+            hot_map_ns: u64_field(hot, "map_ns")?,
+            hot_sim_ns: u64_field(hot, "sim_ns")?,
+            hot_predict_ns: u64_field(hot, "predict_ns")?,
+            pruned_by_memory: usize_field(prov, "pruned_by_memory")?,
+            versions_over_budget: usize_field(prov, "versions_over_budget")?,
+            peak_temp_bytes: u64_field(prov, "peak_temp_bytes")?,
+            rw_bytes: u64_field(prov, "rw_bytes")?,
             degraded: prov
                 .get("degraded")
                 .and_then(Json::as_bool)
@@ -625,20 +507,17 @@ impl TunedPlan {
                 .ok_or_else(|| perr("missing string field `status`".to_string()))?,
         };
         Ok(TunedPlan {
-            schema_version,
             source: str_field("source")?,
             dims,
-            fingerprint,
+            fingerprint: hex_field("fingerprint")?,
             backend: str_field("backend")?,
-            cache_salt,
+            cache_salt: hex_field("cache_salt")?,
             arch_name: str_field("arch_name")?,
             id: u128_field(&doc, "id")?,
             choices,
             gpu_seconds: f64_field(&doc, "gpu_seconds")?,
             transfer_seconds: f64_field(&doc, "transfer_seconds")?,
-            flops: str_field("flops")?
-                .parse::<u64>()
-                .map_err(|_| perr("field `flops` is not a decimal u64".to_string()))?,
+            flops: u64_field(&doc, "flops")?,
             quarantine,
             objective,
             provenance,
@@ -675,21 +554,11 @@ impl TunedPlan {
         Ok(w)
     }
 
-    /// Checks that `workload` is the one this plan was tuned for: a
-    /// readable schema version and the same source/dims fingerprint. A
-    /// stale plan (the DSL or the extents changed since tuning) is a typed
-    /// error, never a silently wrong kernel.
+    /// Checks that `workload` is the one this plan was tuned for: the
+    /// same source/dims fingerprint. A stale plan (the DSL or the extents
+    /// changed since tuning) is a typed error, never a silently wrong
+    /// kernel.
     pub fn validate_for(&self, workload: &Workload) -> Result<(), BarracudaError> {
-        if !PLAN_SCHEMA_READABLE.contains(&self.schema_version) {
-            return Err(BarracudaError::Plan {
-                workload: workload.name.clone(),
-                detail: format!(
-                    "unsupported schema version {} (this build writes {PLAN_SCHEMA_VERSION} and \
-                     reads {PLAN_SCHEMA_READABLE:?})",
-                    self.schema_version
-                ),
-            });
-        }
         let actual = workload_fingerprint(workload);
         if actual != self.fingerprint {
             return Err(BarracudaError::Plan {
@@ -710,7 +579,7 @@ impl TunedPlan {
     /// minimized, so replaying a memory-budgeted plan as if it were the
     /// time-optimal pick (or vice versa) is a typed [`BarracudaError::Plan`]
     /// — re-tune under the objective you want instead. Weights compare by
-    /// f64 bits; older plans (schema < 3) carry the time-only objective.
+    /// f64 bits.
     pub fn validate_objective(&self, expected: &Objective) -> Result<(), BarracudaError> {
         if self.objective.same_as(expected) {
             return Ok(());
@@ -728,56 +597,16 @@ impl TunedPlan {
     }
 
     /// Replays the plan against `workload`: validates the fingerprint and
-    /// (for v2 plans) the backend cache salt, re-maps the saved
-    /// configuration and re-times it through `cache` — no search. The
-    /// deterministic simulator reproduces the saved `gpu_seconds`
-    /// bit-for-bit; a mismatch (an edited plan, a changed model) is
-    /// reported as a typed error rather than trusted.
-    pub fn replay_for(
-        &self,
-        workload: &Workload,
-        cache: &EvalCache,
-    ) -> Result<TunedWorkload, BarracudaError> {
-        self.replay_for_in(crate::backend::builtin_backends(), workload, cache)
-    }
-
-    /// [`TunedPlan::replay_for`] resolving the plan's backend against an
-    /// explicit [`BackendSet`] (runtime-loaded descriptors included).
-    ///
-    /// [`BackendSet`]: crate::backend::BackendSet
-    pub fn replay_for_in(
-        &self,
-        set: &crate::backend::BackendSet,
-        workload: &Workload,
-        cache: &EvalCache,
-    ) -> Result<TunedWorkload, BarracudaError> {
-        self.validate_for(workload)?;
-        let tuner = WorkloadTuner::build(workload);
-        self.replay_built_in(set, workload, &tuner, cache)
-    }
-
-    /// [`TunedPlan::replay_for`] with a pre-built tuner: skips the lowering
-    /// pass when the caller already holds the workload's
-    /// [`WorkloadTuner`] — the serving daemon replays thousands of warm
-    /// requests against one cached tuner. The caller must have built
-    /// `tuner` from `workload` and validated the fingerprint (or accept
-    /// the id-range check below as the only guard).
-    pub fn replay_built(
-        &self,
-        workload: &Workload,
-        tuner: &WorkloadTuner,
-        cache: &EvalCache,
-    ) -> Result<TunedWorkload, BarracudaError> {
-        self.replay_built_in(crate::backend::builtin_backends(), workload, tuner, cache)
-    }
-
-    /// [`TunedPlan::replay_built`] resolving the plan's backend against an
-    /// explicit [`BackendSet`].
-    ///
-    /// [`BackendSet`]: crate::backend::BackendSet
+    /// the backend cache salt (the plan's backend resolved in `set`),
+    /// re-maps the saved configuration through `tuner` and re-times it
+    /// through `cache` — no search. `tuner` must be built from `workload`;
+    /// the serving daemon replays many warm requests against one cached
+    /// tuner. The deterministic simulator reproduces the saved
+    /// `gpu_seconds` bit-for-bit; a mismatch (an edited plan, a changed
+    /// model) is reported as a typed error rather than trusted.
     pub fn replay_built_in(
         &self,
-        set: &crate::backend::BackendSet,
+        set: &BackendSet,
         workload: &Workload,
         tuner: &WorkloadTuner,
         cache: &EvalCache,
@@ -787,7 +616,7 @@ impl TunedPlan {
             workload: workload.name.clone(),
             detail: format!("unknown backend `{}` in plan", self.backend),
         })?;
-        if self.cache_salt != 0 && self.cache_salt != backend.cache_salt() {
+        if self.cache_salt != backend.cache_salt() {
             return Err(BarracudaError::Plan {
                 workload: workload.name.clone(),
                 detail: format!(
@@ -911,17 +740,12 @@ impl TunedPlan {
             },
         })
     }
-
-    /// [`TunedPlan::replay_for`] against the workload embedded in the plan.
-    pub fn replay(&self, cache: &EvalCache) -> Result<TunedWorkload, BarracudaError> {
-        let w = self.workload()?;
-        self.replay_for(&w, cache)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::{backend_by_key, builtin_backends};
     use crate::pipeline::TuneParams;
     use tensor::index::uniform_dims;
 
@@ -938,14 +762,24 @@ mod tests {
         let w = matmul(n);
         let tuner = WorkloadTuner::build(&w);
         let tuned = tuner.autotune(&gpusim::k20(), TuneParams::quick()).unwrap();
-        let plan = TunedPlan::from_tuned(&tuner, "k20", &tuned);
+        let k20 = backend_by_key("k20").unwrap();
+        let plan = TunedPlan::from_tuned_for(&tuner, k20.as_ref(), &tuned);
         (tuner, plan)
+    }
+
+    fn replay(plan: &TunedPlan, tuner: &WorkloadTuner) -> Result<TunedWorkload, BarracudaError> {
+        plan.replay_built_in(
+            builtin_backends(),
+            &tuner.workload,
+            tuner,
+            &EvalCache::new(),
+        )
     }
 
     #[test]
     fn json_roundtrip_is_lossless() {
         let (_, mut plan) = tuned_plan(16);
-        // Exercise every v2 field, including the ones a clean quick tune
+        // Exercise every field, including the ones a clean quick tune
         // leaves empty.
         plan.quarantine.push(QuarantineEntry {
             stage: QuarantineStage::Mapping,
@@ -968,8 +802,6 @@ mod tests {
     #[test]
     fn v3_plans_carry_backend_salt_memo_counters_and_objective() {
         let (_, plan) = tuned_plan(16);
-        assert_eq!(plan.schema_version, 3);
-        assert!(!plan.is_stale());
         let expected = backend_by_key("k20").unwrap().cache_salt();
         assert_eq!(plan.cache_salt, expected);
         assert_ne!(plan.cache_salt, 0);
@@ -983,29 +815,6 @@ mod tests {
             p.rw_bytes > 0,
             "every real configuration moves some global memory"
         );
-    }
-
-    #[test]
-    fn v2_layout_parses_read_only_with_time_only_objective() {
-        let (_, plan) = tuned_plan(16);
-        let mut v2 = plan.clone();
-        v2.schema_version = 2;
-        let text = v2.to_json_text();
-        assert!(
-            !text.contains("\"objective\""),
-            "v2 layout has no objective"
-        );
-        assert!(!text.contains("peak_temp_bytes"));
-        let back = TunedPlan::from_json_text(&text).unwrap();
-        assert!(back.is_stale());
-        assert!(back.objective.is_time_only());
-        assert_eq!(back.provenance.peak_temp_bytes, 0);
-        assert_eq!(back.provenance.rw_bytes, 0);
-        assert_eq!(back.id, plan.id);
-        assert_eq!(back.cache_salt, plan.cache_salt);
-        // v2 plans still replay (read path preserved).
-        let replayed = back.replay(&EvalCache::new()).unwrap();
-        assert_eq!(replayed.gpu_seconds.to_bits(), plan.gpu_seconds.to_bits());
     }
 
     #[test]
@@ -1032,44 +841,23 @@ mod tests {
     }
 
     #[test]
-    fn v1_layout_parses_read_only_and_is_stale() {
-        let (_, plan) = tuned_plan(16);
-        let mut v1 = plan.clone();
-        v1.schema_version = 1;
-        let text = v1.to_json_text();
-        assert!(!text.contains("cache_salt"), "v1 layout has no salt");
-        assert!(!text.contains("\"quarantine\""));
-        let back = TunedPlan::from_json_text(&text).unwrap();
-        assert!(back.is_stale());
-        assert_eq!(back.cache_salt, 0);
-        assert!(back.quarantine.is_empty());
-        assert_eq!(back.id, plan.id);
-        assert_eq!(back.gpu_seconds.to_bits(), plan.gpu_seconds.to_bits());
-        // v1 plans still replay (read path preserved).
-        let replayed = back.replay(&EvalCache::new()).unwrap();
-        assert_eq!(replayed.gpu_seconds.to_bits(), plan.gpu_seconds.to_bits());
-    }
-
-    #[test]
     fn replay_reproduces_the_tuned_time_without_searching() {
-        let (_, plan) = tuned_plan(16);
-        let cache = EvalCache::new();
-        let replayed = plan.replay(&cache).unwrap();
+        let (tuner, plan) = tuned_plan(16);
+        let replayed = replay(&plan, &tuner).unwrap();
         assert_eq!(replayed.id, plan.id);
         assert_eq!(replayed.gpu_seconds.to_bits(), plan.gpu_seconds.to_bits());
         assert!(replayed.cuda_source().contains("__global__"));
-        // v2 reconstructs the memo counters, not zeros.
+        // Replay reconstructs the memo counters, not zeros.
         assert_eq!(replayed.search.time_hits, plan.provenance.time_hits);
         assert_eq!(replayed.search.time_misses, plan.provenance.time_misses);
     }
 
     #[test]
     fn replayed_degraded_status_is_not_double_prefixed() {
-        let (_, mut plan) = tuned_plan(16);
+        let (tuner, mut plan) = tuned_plan(16);
         plan.provenance.degraded = true;
         plan.provenance.status = "degraded: eval budget exhausted".into();
-        let replayed = plan.replay(&EvalCache::new()).unwrap();
-        match replayed.status {
+        match replay(&plan, &tuner).unwrap().status {
             SearchStatus::Degraded { reason } => {
                 assert_eq!(reason, "eval budget exhausted");
             }
@@ -1081,8 +869,8 @@ mod tests {
     fn stale_fingerprint_is_a_typed_plan_error() {
         let (_, plan) = tuned_plan(16);
         // Same statements, different extents: a stale plan.
-        let other = matmul(32);
-        let err = plan.replay_for(&other, &EvalCache::new()).unwrap_err();
+        let other = WorkloadTuner::build(&matmul(32));
+        let err = replay(&plan, &other).unwrap_err();
         assert_eq!(err.stage(), "plan");
         assert_eq!(err.exit_code(), 10);
         assert!(err.to_string().contains("fingerprint"));
@@ -1090,30 +878,44 @@ mod tests {
 
     #[test]
     fn foreign_cache_salt_is_a_typed_plan_error() {
-        let (_, mut plan) = tuned_plan(16);
-        plan.cache_salt ^= 1;
-        let err = plan.replay(&EvalCache::new()).unwrap_err();
-        assert_eq!(err.stage(), "plan");
-        assert_eq!(err.exit_code(), 10);
-        assert!(err.to_string().contains("salt"), "{err}");
+        let (tuner, plan) = tuned_plan(16);
+        // A flipped salt and a zeroed one: no salt value skips the check.
+        for salt in [plan.cache_salt ^ 1, 0] {
+            let foreign = TunedPlan {
+                cache_salt: salt,
+                ..plan.clone()
+            };
+            let err = replay(&foreign, &tuner).unwrap_err();
+            assert_eq!(err.stage(), "plan");
+            assert_eq!(err.exit_code(), 10);
+            assert!(err.to_string().contains("salt"), "{err}");
+        }
     }
 
     #[test]
     fn wrong_schema_version_is_rejected() {
         let (_, plan) = tuned_plan(16);
-        let text = plan
-            .to_json_text()
-            .replace("\"schema_version\": 3", "\"schema_version\": 999");
-        let err = TunedPlan::from_json_text(&text).unwrap_err();
-        assert_eq!(err.stage(), "plan");
-        assert!(err.to_string().contains("schema version"));
+        for version in [1, 2, 999] {
+            let text = plan.to_json_text().replace(
+                "\"schema_version\": 3",
+                &format!("\"schema_version\": {version}"),
+            );
+            let err = TunedPlan::from_json_text(&text).unwrap_err();
+            assert_eq!(err.stage(), "plan");
+            assert_eq!(err.exit_code(), 10);
+            assert!(
+                err.to_string()
+                    .contains(&format!("schema version {version}")),
+                "{err}"
+            );
+        }
     }
 
     #[test]
     fn corrupt_json_is_a_typed_plan_error() {
         let err = TunedPlan::from_json_text("{not json").unwrap_err();
         assert_eq!(err.stage(), "plan");
-        let err = TunedPlan::from_json_text("{\"schema_version\": 1}").unwrap_err();
+        let err = TunedPlan::from_json_text("{\"schema_version\": 3}").unwrap_err();
         assert!(err.to_string().contains("missing"));
     }
 }

@@ -5,17 +5,25 @@
 //! smoke test drives (a cold tune followed by a warm one must produce
 //! exactly one miss then one hit, never a coalesced pair). The socket
 //! transports are thread-per-connection: that is where concurrent
-//! identical requests actually overlap and coalesce.
+//! identical requests actually overlap and coalesce. A socket connection
+//! reads at most [`MAX_REQUEST_BYTES`] per request line, so a client that
+//! never sends a newline cannot grow the daemon's memory without limit.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use crate::error::BarracudaError;
 
-use super::Daemon;
+use super::{protocol, Daemon};
+
+/// Longest request line (newline excluded) a socket connection accepts.
+/// A longer line is answered with one typed serve error (exit code 12),
+/// counted in the daemon's `errors`, and the connection is closed.
+pub const MAX_REQUEST_BYTES: usize = 1 << 20;
 
 /// Where the daemon listens, parsed from `--listen`.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -143,16 +151,34 @@ where
     Ok(())
 }
 
-/// One connection: lines in, lines out, until EOF or shutdown.
-fn serve_connection<S: std::io::Read + Write>(daemon: &Daemon, stream: S) {
+/// One connection: lines in, lines out, until EOF, shutdown, or a line
+/// over [`MAX_REQUEST_BYTES`].
+fn serve_connection<S: Read + Write>(daemon: &Daemon, stream: S) {
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut buf = Vec::new();
     loop {
-        line.clear();
-        match reader.read_line(&mut line) {
+        buf.clear();
+        let limit = MAX_REQUEST_BYTES as u64 + 1;
+        match reader.by_ref().take(limit).read_until(b'\n', &mut buf) {
             Ok(0) | Err(_) => return,
             Ok(_) => {}
         }
+        if buf.len() > MAX_REQUEST_BYTES && buf.last() != Some(&b'\n') {
+            daemon.metrics().requests.fetch_add(1, Ordering::Relaxed);
+            daemon.metrics().errors.fetch_add(1, Ordering::Relaxed);
+            let err = BarracudaError::Serve {
+                detail: format!(
+                    "request line longer than {MAX_REQUEST_BYTES} bytes; closing the connection"
+                ),
+            };
+            let response = protocol::error_response("error", None, &err);
+            let _ = writeln!(reader.get_mut(), "{}", response.to_string_compact());
+            let _ = reader.get_mut().flush();
+            return;
+        }
+        let Ok(line) = std::str::from_utf8(&buf) else {
+            return;
+        };
         if line.trim().is_empty() {
             continue;
         }

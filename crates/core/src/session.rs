@@ -315,7 +315,9 @@ impl TuningSession {
             ),
         })?;
         plan.validate_objective(expected)?;
-        let tuned = plan.replay_for_in(&self.backends, workload, &self.cache_for(workload))?;
+        let tuner = WorkloadTuner::build(workload);
+        let tuned =
+            plan.replay_built_in(&self.backends, workload, &tuner, &self.cache_for(workload))?;
         Ok((tuned, plan, store.path_of(&key)))
     }
 }

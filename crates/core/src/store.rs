@@ -10,8 +10,9 @@
 //! exact model revision?" and replay the answer with zero search
 //! evaluations. The salt in the key means a model or architecture change
 //! silently *misses* (and re-tunes) rather than serving a stale mapping;
-//! the schema version in the key means old-format plans are flagged as
-//! evictable by `gc`, never misread.
+//! the schema version in the key means an entry written under an older
+//! plan schema is never looked up, never parsed: `scan` flags it stale
+//! from its file name alone, and `gc` evicts it.
 //!
 //! File names are injective in the key: fixed-width lowercase hex for the
 //! two u64s, a decimal schema tag, and a percent-encoded backend key
@@ -155,7 +156,7 @@ impl Default for StoreOptions {
 pub struct StoreKey {
     /// Workload fingerprint (FNV-1a over canonical source + dims).
     pub fingerprint: u64,
-    /// Backend cache salt at tuning time (0 for legacy v1 plans).
+    /// Backend cache salt at tuning time.
     pub cache_salt: u64,
     /// Plan schema version the artifact was written with.
     pub schema: u64,
@@ -164,12 +165,13 @@ pub struct StoreKey {
 }
 
 impl StoreKey {
-    /// The key a plan files under.
+    /// The key a plan files under (plans are always written in the
+    /// current schema).
     pub fn of_plan(plan: &TunedPlan) -> StoreKey {
         StoreKey {
             fingerprint: plan.fingerprint,
             cache_salt: plan.cache_salt,
-            schema: plan.schema_version,
+            schema: PLAN_SCHEMA_VERSION,
             backend: plan.backend.clone(),
         }
     }
@@ -557,14 +559,14 @@ impl PlanStore {
         }
     }
 
-    /// Evicts every entry whose schema version is below `schema`,
-    /// returning the removed entries. `gc(PLAN_SCHEMA_VERSION)` clears
-    /// all stale (pre-current-schema) artifacts. Undecodable file names
-    /// are skipped, not fatal (report them via [`PlanStore::scan`]).
-    pub fn gc(&self, schema: u64) -> Result<Vec<StoreEntry>, BarracudaError> {
+    /// Evicts every stale entry (file-name schema below
+    /// [`PLAN_SCHEMA_VERSION`]), returning the removed entries.
+    /// Undecodable file names are skipped, not fatal (report them via
+    /// [`PlanStore::scan`]).
+    pub fn gc(&self) -> Result<Vec<StoreEntry>, BarracudaError> {
         let mut evicted = Vec::new();
         for entry in self.scan()?.entries {
-            if entry.key.schema < schema {
+            if entry.key.is_stale() {
                 self.evict(&entry.key)?;
                 evicted.push(entry);
             }
@@ -600,6 +602,7 @@ impl PlanStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::{backend_by_key, builtin_backends};
     use crate::cache::EvalCache;
     use crate::pipeline::{TuneParams, WorkloadTuner};
     use crate::workload::Workload;
@@ -621,7 +624,7 @@ mod tests {
         .unwrap();
         let tuner = WorkloadTuner::build(&w);
         let tuned = tuner.autotune(&gpusim::k20(), TuneParams::quick()).unwrap();
-        TunedPlan::from_tuned(&tuner, "k20", &tuned)
+        TunedPlan::from_tuned_for(&tuner, backend_by_key("k20").unwrap().as_ref(), &tuned)
     }
 
     #[test]
@@ -660,7 +663,11 @@ mod tests {
         assert_eq!(plan, back);
         assert_eq!(plan.gpu_seconds.to_bits(), back.gpu_seconds.to_bits());
         // Replays straight out of the store.
-        let replayed = back.replay(&EvalCache::new()).unwrap();
+        let w = back.workload().unwrap();
+        let tuner = WorkloadTuner::build(&w);
+        let replayed = back
+            .replay_built_in(builtin_backends(), &w, &tuner, &EvalCache::new())
+            .unwrap();
         assert_eq!(replayed.gpu_seconds.to_bits(), plan.gpu_seconds.to_bits());
     }
 
@@ -809,13 +816,15 @@ mod tests {
     fn gc_evicts_only_older_schemas() {
         let store = temp_store("gc");
         let plan = tuned_plan();
-        store.insert(&plan).unwrap();
-        let mut v1 = plan.clone();
-        v1.schema_version = 1;
-        v1.cache_salt = 0;
-        store.insert(&v1).unwrap();
+        let current = store.insert(&plan).unwrap();
+        // An older build's entry: same key, schema 1 in its file name.
+        let v1 = StoreKey {
+            schema: 1,
+            ..StoreKey::of_plan(&plan)
+        };
+        std::fs::copy(&current, store.path_of(&v1)).unwrap();
         assert_eq!(store.entries().unwrap().len(), 2);
-        let evicted = store.gc(PLAN_SCHEMA_VERSION).unwrap();
+        let evicted = store.gc().unwrap();
         assert_eq!(evicted.len(), 1);
         assert_eq!(evicted[0].key.schema, 1);
         assert!(evicted[0].key.is_stale());

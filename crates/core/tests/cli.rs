@@ -574,34 +574,16 @@ fn plans_gc_evicts_a_planted_v1_plan() {
         .unwrap();
     assert!(tune.status.success());
 
-    // Plant a v1 copy at its schema-1 address (what a pre-v2 build would
-    // have left behind).
-    let path = bin()
-        .args([
-            "plans",
-            "path",
-            "builtin:eqn1",
-            "--store",
-            store.to_str().unwrap(),
-            "--backend",
-            "k20",
-            "--schema",
-            "1",
-        ])
-        .output()
-        .unwrap();
-    assert!(path.status.success());
-    let v1_path = String::from_utf8_lossy(&path.stdout).trim().to_string();
+    // Plant an entry at a schema-1 address (what an older build would
+    // have left behind): the store judges staleness by file name alone.
     let v3_path = std::fs::read_dir(&store)
         .unwrap()
         .filter_map(|e| e.ok())
         .map(|e| e.path())
         .find(|p| p.to_string_lossy().contains("-v3-"))
         .unwrap();
-    let v1_text = std::fs::read_to_string(&v3_path)
-        .unwrap()
-        .replace("\"schema_version\": 3", "\"schema_version\": 1");
-    std::fs::write(&v1_path, v1_text).unwrap();
+    let v1_path = v3_path.to_string_lossy().replace("-v3-", "-v1-");
+    std::fs::copy(&v3_path, &v1_path).unwrap();
 
     let list = bin()
         .args(["plans", "list", "--store", store.to_str().unwrap()])
@@ -611,21 +593,28 @@ fn plans_gc_evicts_a_planted_v1_plan() {
     let list_text = String::from_utf8_lossy(&list.stdout);
     assert!(list_text.contains("[stale schema]"), "{list_text}");
 
+    // The options that used to plant and evict old schemas are gone.
+    for removed in [
+        &["plans", "gc", "--schema-older-than", "2"][..],
+        &["plans", "path", "builtin:eqn1", "--schema", "1"][..],
+    ] {
+        let out = bin()
+            .args(removed)
+            .args(["--store", store.to_str().unwrap()])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{removed:?}");
+    }
+
     let gc = bin()
-        .args([
-            "plans",
-            "gc",
-            "--store",
-            store.to_str().unwrap(),
-            "--schema-older-than",
-            "2",
-        ])
+        .args(["plans", "gc", "--store", store.to_str().unwrap()])
         .output()
         .unwrap();
     assert!(gc.status.success());
     let gc_text = String::from_utf8_lossy(&gc.stdout);
     assert!(gc_text.contains("evicted 1 stale plan(s)"), "{gc_text}");
     assert!(!std::path::Path::new(&v1_path).exists());
+    assert!(v3_path.exists(), "gc must keep the current-schema entry");
 
     let relist = bin()
         .args(["plans", "list", "--store", store.to_str().unwrap()])
@@ -675,15 +664,18 @@ fn foreign_cache_salt_exits_10() {
             char::from_digit((d + 1) % 16, 16).unwrap()
         })
         .collect();
-    std::fs::write(&plan, text.replace(&salt, &flipped)).unwrap();
-    let replay = bin()
-        .args(["replay", plan.to_str().unwrap()])
-        .output()
-        .unwrap();
-    assert_eq!(replay.status.code(), Some(10));
-    let err = String::from_utf8_lossy(&replay.stderr);
-    assert!(err.contains("error[plan]"), "stderr: {err}");
-    assert!(err.contains("salt"), "stderr: {err}");
+    // A zeroed salt is no exemption: every salt must match the backend.
+    for tampered in [flipped.as_str(), "0000000000000000"] {
+        std::fs::write(&plan, text.replace(&salt, tampered)).unwrap();
+        let replay = bin()
+            .args(["replay", plan.to_str().unwrap()])
+            .output()
+            .unwrap();
+        let err = String::from_utf8_lossy(&replay.stderr);
+        assert_eq!(replay.status.code(), Some(10), "salt {tampered}: {err}");
+        assert!(err.contains("error[plan]"), "stderr: {err}");
+        assert!(err.contains("salt"), "stderr: {err}");
+    }
 }
 
 #[test]
@@ -706,18 +698,28 @@ fn stale_schema_version_exits_10() {
         .unwrap();
     assert!(tune.status.success());
     let text = std::fs::read_to_string(&plan).unwrap();
-    std::fs::write(
-        &plan,
-        text.replace("\"schema_version\": 3", "\"schema_version\": 999"),
-    )
-    .unwrap();
-    let replay = bin()
-        .args(["replay", plan.to_str().unwrap()])
-        .output()
+    // Older schemas are rejected exactly like unknown future ones.
+    for version in [1, 2, 999] {
+        std::fs::write(
+            &plan,
+            text.replace(
+                "\"schema_version\": 3",
+                &format!("\"schema_version\": {version}"),
+            ),
+        )
         .unwrap();
-    assert_eq!(replay.status.code(), Some(10));
-    let err = String::from_utf8_lossy(&replay.stderr);
-    assert!(err.contains("schema version"), "stderr: {err}");
+        let replay = bin()
+            .args(["replay", plan.to_str().unwrap()])
+            .output()
+            .unwrap();
+        let err = String::from_utf8_lossy(&replay.stderr);
+        assert_eq!(replay.status.code(), Some(10), "v{version}: {err}");
+        assert!(err.contains("error[plan]"), "stderr: {err}");
+        assert!(
+            err.contains(&format!("schema version {version}")),
+            "stderr: {err}"
+        );
+    }
 }
 
 #[test]

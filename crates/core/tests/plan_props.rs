@@ -2,13 +2,15 @@
 //! serialization must be lossless for *arbitrary* field values (bit-exact
 //! f64s, full-range u128 ids, hostile strings), and replaying a saved plan
 //! through a shared [`EvalCache`] must reproduce the tuned time
-//! bit-identically without spending any search evaluations.
+//! bit-identically without spending any search evaluations. A plan
+//! written by an earlier build is committed as a fixture, so the format
+//! cannot drift even if the writer and reader drift together.
 
 use barracuda::pipeline::{TuneParams, WorkloadTuner};
 use barracuda::workload::Workload;
 use barracuda::{
-    BudgetMode, EvalCache, Objective, PlanChoice, PlanProvenance, QuarantineEntry, QuarantineStage,
-    TunedPlan, PLAN_SCHEMA_VERSION,
+    backend_by_key, builtin_backends, BudgetMode, EvalCache, Objective, PlanChoice, PlanProvenance,
+    QuarantineEntry, QuarantineStage, TunedPlan,
 };
 use proptest::prelude::*;
 use tensor::index::uniform_dims;
@@ -203,7 +205,6 @@ fn plan() -> impl Strategy<Value = TunedPlan> {
                 quarantine,
                 (provenance, objective),
             )| TunedPlan {
-                schema_version: PLAN_SCHEMA_VERSION,
                 workload_name,
                 source,
                 dims,
@@ -240,43 +241,6 @@ proptest! {
         prop_assert_eq!(plan.transfer_seconds.to_bits(), back.transfer_seconds.to_bits());
         prop_assert_eq!(plan.provenance.wall_s.to_bits(), back.provenance.wall_s.to_bits());
     }
-
-    /// The legacy v1 layout still round-trips: a plan downgraded to
-    /// schema 1 (v2-only fields zeroed, as the v1 writer emits) parses
-    /// back identically and reports itself stale.
-    #[test]
-    fn v1_layout_roundtrip_is_lossless(plan in plan()) {
-        let mut v1 = plan;
-        v1.schema_version = 1;
-        v1.cache_salt = 0;
-        v1.quarantine.clear();
-        v1.provenance.cache_hits = 0;
-        v1.provenance.cache_misses = 0;
-        v1.provenance.per_op_hits = 0;
-        v1.provenance.per_op_misses = 0;
-        v1.provenance.time_hits = 0;
-        v1.provenance.time_misses = 0;
-        v1.provenance.hot_decode_ns = 0;
-        v1.provenance.hot_map_ns = 0;
-        v1.provenance.hot_sim_ns = 0;
-        v1.provenance.hot_predict_ns = 0;
-        // v3-only fields: the v1 writer omits them, the reader defaults them.
-        v1.provenance.pruned_by_memory = 0;
-        v1.provenance.versions_over_budget = 0;
-        v1.provenance.peak_temp_bytes = 0;
-        v1.provenance.rw_bytes = 0;
-        v1.objective = Objective::time_only();
-        let text = v1.to_json_text();
-        prop_assert!(!text.contains("cache_salt"));
-        let back = match TunedPlan::from_json_text(&text) {
-            Ok(p) => p,
-            Err(e) => return Err(proptest::test_runner::TestCaseError::fail(format!(
-                "v1 reparse failed: {e}\n{text}"
-            ))),
-        };
-        prop_assert!(back.is_stale());
-        prop_assert_eq!(&v1, &back);
-    }
 }
 
 proptest! {
@@ -300,7 +264,8 @@ proptest! {
         let tuned = tuner
             .autotune_with_cache(&gpusim::k20(), params, &cache)
             .unwrap();
-        let plan = TunedPlan::from_tuned(&tuner, "k20", &tuned);
+        let k20 = backend_by_key("k20").unwrap();
+        let plan = TunedPlan::from_tuned_for(&tuner, k20.as_ref(), &tuned);
         let loaded = match TunedPlan::from_json_text(&plan.to_json_text()) {
             Ok(p) => p,
             Err(e) => return Err(proptest::test_runner::TestCaseError::fail(format!(
@@ -308,7 +273,9 @@ proptest! {
             ))),
         };
         let (_, misses_before) = cache.time_stats();
-        let replayed = loaded.replay(&cache).unwrap();
+        let replayed = loaded
+            .replay_built_in(builtin_backends(), &w, &tuner, &cache)
+            .unwrap();
         let (_, misses_after) = cache.time_stats();
         prop_assert_eq!(replayed.id, tuned.id);
         prop_assert_eq!(replayed.gpu_seconds.to_bits(), tuned.gpu_seconds.to_bits());
@@ -321,4 +288,26 @@ proptest! {
             "replay carries the original search provenance"
         );
     }
+}
+
+/// A plan saved by an earlier build (`barracuda tune builtin:eqn1 --quick
+/// --evals 20 --arch k20 --save-plan ...`). Stores written by that build
+/// must keep hitting, so this build must read it and write back the very
+/// same bytes, and replaying it must reproduce the saved time bit-for-bit.
+#[test]
+fn committed_v3_plan_parses_rewrites_and_replays_unchanged() {
+    let text = include_str!("fixtures/eqn1_k20_v3.json");
+    let plan = TunedPlan::from_json_text(text).unwrap();
+    assert_eq!(
+        plan.to_json_text(),
+        text,
+        "the writer no longer emits the committed format byte-for-byte"
+    );
+    let w = plan.workload().unwrap();
+    let tuner = WorkloadTuner::build(&w);
+    let replayed = plan
+        .replay_built_in(builtin_backends(), &w, &tuner, &EvalCache::new())
+        .unwrap();
+    assert_eq!(replayed.id, plan.id);
+    assert_eq!(replayed.gpu_seconds.to_bits(), plan.gpu_seconds.to_bits());
 }

@@ -2,11 +2,15 @@
 //! deadlines, and protocol errors — all in-process through
 //! [`Daemon::handle_line`], the same entry the transports call.
 
+use std::io::{BufRead, BufReader, Write};
+use std::os::unix::net::UnixStream;
 use std::sync::{Arc, Barrier};
+use std::time::{Duration, Instant};
 
 use barracuda::json::Json;
 use barracuda::kernels;
-use barracuda::{Daemon, ServeOptions};
+use barracuda::serve::transport::{self, MAX_REQUEST_BYTES};
+use barracuda::{Daemon, Listen, ServeOptions};
 
 fn quick_daemon(store: Option<std::path::PathBuf>) -> Daemon {
     Daemon::new(ServeOptions {
@@ -168,4 +172,89 @@ fn stats_and_shutdown_round_trip() {
     let out = daemon.handle_line(r#"{"op":"shutdown"}"#);
     assert!(out.shutdown);
     assert!(daemon.is_shutdown());
+}
+
+/// A socket client that never sends a newline cannot grow the daemon's
+/// memory: past `MAX_REQUEST_BYTES` the line is answered with one typed
+/// serve error (exit code 12), the connection closes, and the daemon
+/// keeps answering fresh connections.
+#[test]
+fn over_long_request_line_is_refused_and_the_connection_closed() {
+    let path =
+        std::env::temp_dir().join(format!("barracuda_serve_long_{}.sock", std::process::id()));
+    let daemon = Arc::new(quick_daemon(None));
+    let server = {
+        let daemon = Arc::clone(&daemon);
+        let listen = Listen::Unix(path.clone());
+        std::thread::spawn(move || transport::run(daemon, &listen))
+    };
+    let connect = || {
+        let start = Instant::now();
+        loop {
+            match UnixStream::connect(&path) {
+                Ok(s) => {
+                    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+                    return s;
+                }
+                Err(e) if start.elapsed() > Duration::from_secs(10) => panic!("connect: {e}"),
+                Err(_) => std::thread::sleep(Duration::from_millis(10)),
+            }
+        }
+    };
+
+    let stream = connect();
+    let writer = {
+        let mut stream = stream.try_clone().unwrap();
+        std::thread::spawn(move || {
+            // 1 MiB + 4 KiB and no newline; the daemon hangs up part way,
+            // so write errors are expected and ignored.
+            let chunk = [b'x'; 4096];
+            for _ in 0..MAX_REQUEST_BYTES / chunk.len() + 1 {
+                if stream.write_all(&chunk).is_err() {
+                    break;
+                }
+            }
+        })
+    };
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    reader
+        .read_line(&mut line)
+        .expect("a response within the read timeout");
+    let v = Json::parse(line.trim()).unwrap();
+    assert_eq!(v.get("ok").and_then(Json::as_bool), Some(false), "{line}");
+    assert_eq!(
+        v.get("exit_code").and_then(Json::as_u64),
+        Some(12),
+        "{line}"
+    );
+    // Then the daemon closes the connection. Closing with the rest of the
+    // line still unread may surface as a reset instead of a clean EOF.
+    line.clear();
+    match reader.read_line(&mut line) {
+        Ok(0) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+        other => panic!("expected the connection to close, got {other:?} {line:?}"),
+    }
+    writer.join().unwrap();
+
+    let mut fresh = BufReader::new(connect());
+    for (request, op) in [
+        (r#"{"op":"ping"}"#, "ping"),
+        (r#"{"op":"shutdown"}"#, "shutdown"),
+    ] {
+        writeln!(fresh.get_mut(), "{request}").unwrap();
+        line.clear();
+        fresh.read_line(&mut line).unwrap();
+        let v = Json::parse(line.trim()).unwrap();
+        assert_eq!(
+            v.get("ok").and_then(Json::as_bool),
+            Some(true),
+            "{op}: {line}"
+        );
+    }
+    server.join().unwrap().unwrap();
+    let m = daemon.snapshot();
+    assert_eq!(m.errors, 1, "the over-long line counts as one error");
+    assert_eq!(m.requests, 3);
 }

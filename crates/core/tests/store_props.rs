@@ -6,7 +6,7 @@
 
 use barracuda::pipeline::{TuneParams, WorkloadTuner};
 use barracuda::workload::Workload;
-use barracuda::{EvalCache, PlanStore, StoreKey, TunedPlan};
+use barracuda::{backend_by_key, builtin_backends, EvalCache, PlanStore, StoreKey, TunedPlan};
 use proptest::prelude::*;
 use tensor::index::uniform_dims;
 
@@ -110,12 +110,15 @@ proptest! {
         let mut params = TuneParams::quick();
         params.surf.max_evals = max_evals;
         let tuned = tuner.autotune(&gpusim::k20(), params).unwrap();
-        let plan = TunedPlan::from_tuned(&tuner, "k20", &tuned);
+        let k20 = backend_by_key("k20").unwrap();
+        let plan = TunedPlan::from_tuned_for(&tuner, k20.as_ref(), &tuned);
         store.insert(&plan).unwrap();
         let back = store.lookup(&StoreKey::of_plan(&plan)).unwrap().unwrap();
         prop_assert_eq!(&plan, &back);
         prop_assert_eq!(plan.gpu_seconds.to_bits(), back.gpu_seconds.to_bits());
-        let replayed = back.replay(&EvalCache::new()).unwrap();
+        let replayed = back
+            .replay_built_in(builtin_backends(), &w, &tuner, &EvalCache::new())
+            .unwrap();
         prop_assert_eq!(replayed.gpu_seconds.to_bits(), tuned.gpu_seconds.to_bits());
         let _ = std::fs::remove_dir_all(&root);
     }
