@@ -1,6 +1,6 @@
 //! Criterion microbenchmarks of the evaluation hot path: the exact
 //! per-evaluation operations the SURF search loop performs millions of
-//! times — config decode, kernel timing, and surrogate pool scoring —
+//! times — config decode, kernel timing, surrogate refit and pool scoring —
 //! each with its baseline next to the fast path the search uses, so
 //! regressions in either show up as a ratio, not just a number.
 
@@ -116,6 +116,29 @@ fn bench_predict(c: &mut Criterion) {
     });
 }
 
+fn bench_fit(c: &mut Criterion) {
+    // One SURF refit late in a paper-budget tce search: the forest the
+    // tuner runs, fitted on 160 evaluated configurations (unmappable
+    // ones, timed NaN, are skipped as the search skips them).
+    let w = kernels::builtin("tce").unwrap();
+    let tuner = WorkloadTuner::build(&w);
+    let arch = gpusim::k20();
+    let (xs, ys): (Vec<Vec<f64>>, Vec<f64>) = tuner
+        .pool(4096, 3)
+        .into_iter()
+        .filter_map(|id| {
+            let t = tuner.gpu_seconds(id, &arch);
+            t.is_finite().then(|| (tuner.features(id), t))
+        })
+        .take(160)
+        .unzip();
+    assert_eq!(xs.len(), 160);
+    let params = TuneParams::paper().surf.forest;
+    c.bench_function("hotpath/fit_tce_160", |b| {
+        b.iter(|| black_box(ExtraTrees::fit(black_box(&xs), black_box(&ys), params)))
+    });
+}
+
 fn bench_pool_feature_reuse(c: &mut Criterion) {
     // The search used to re-featurize every remaining candidate on every
     // scoring round. This pair pins the win from building the pool once:
@@ -208,6 +231,7 @@ criterion_group! {
     bench_config_decode,
     bench_kernel_timing,
     bench_predict,
+    bench_fit,
     bench_pool_feature_reuse,
     bench_memoized_eval,
 }

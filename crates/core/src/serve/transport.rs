@@ -5,9 +5,11 @@
 //! smoke test drives (a cold tune followed by a warm one must produce
 //! exactly one miss then one hit, never a coalesced pair). The socket
 //! transports are thread-per-connection: that is where concurrent
-//! identical requests actually overlap and coalesce. A socket connection
-//! reads at most [`MAX_REQUEST_BYTES`] per request line, so a client that
-//! never sends a newline cannot grow the daemon's memory without limit.
+//! identical requests actually overlap and coalesce. Every transport reads
+//! at most [`MAX_REQUEST_BYTES`] per request line, so a client that never
+//! sends a newline cannot grow the daemon's memory without limit, and a
+//! line that is too long or not UTF-8 is answered with one typed serve
+//! error (exit code 12) instead of stopping the daemon.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -20,10 +22,53 @@ use crate::error::BarracudaError;
 
 use super::{protocol, Daemon};
 
-/// Longest request line (newline excluded) a socket connection accepts.
-/// A longer line is answered with one typed serve error (exit code 12),
-/// counted in the daemon's `errors`, and the connection is closed.
+/// Longest request line (newline excluded) the daemon accepts. A longer
+/// line is answered with one typed serve error (exit code 12), counted in
+/// the daemon's `errors`. A socket connection is then closed; stdio, which
+/// has no connection to close, discards the rest of the line and goes on.
 pub const MAX_REQUEST_BYTES: usize = 1 << 20;
+
+/// One request line, read with at most `MAX_REQUEST_BYTES + 1` bytes
+/// buffered.
+enum Inbound<'a> {
+    /// End of input.
+    Eof,
+    Line(&'a str),
+    /// More than [`MAX_REQUEST_BYTES`] before the newline; the rest of
+    /// the line is still unread.
+    TooLong,
+    NotUtf8,
+}
+
+fn read_request<'b>(
+    reader: &mut impl BufRead,
+    buf: &'b mut Vec<u8>,
+) -> std::io::Result<Inbound<'b>> {
+    buf.clear();
+    let limit = MAX_REQUEST_BYTES as u64 + 1;
+    if reader.take(limit).read_until(b'\n', buf)? == 0 {
+        return Ok(Inbound::Eof);
+    }
+    if buf.len() > MAX_REQUEST_BYTES && buf.last() != Some(&b'\n') {
+        return Ok(Inbound::TooLong);
+    }
+    Ok(std::str::from_utf8(buf).map_or(Inbound::NotUtf8, Inbound::Line))
+}
+
+/// The response to a line the daemon cannot read as a request, counted
+/// in `requests` and `errors`.
+fn refusal(daemon: &Daemon, detail: String) -> String {
+    daemon.metrics().requests.fetch_add(1, Ordering::Relaxed);
+    daemon.metrics().errors.fetch_add(1, Ordering::Relaxed);
+    let err = BarracudaError::Serve { detail };
+    protocol::error_response("error", None, &err).to_string_compact()
+}
+
+fn too_long(then: &str) -> String {
+    format!("request line longer than {MAX_REQUEST_BYTES} bytes; {then}")
+}
+
+const NOT_UTF8: &str = "request line is not valid UTF-8";
 
 /// Where the daemon listens, parsed from `--listen`.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -78,30 +123,47 @@ pub fn run(daemon: Arc<Daemon>, listen: &Listen) -> Result<(), BarracudaError> {
 /// flushed per response. Blank lines are ignored; EOF is a clean stop.
 pub fn serve_stdio(daemon: &Daemon) -> Result<(), BarracudaError> {
     eprintln!("serve: ready (stdio)");
-    let stdin = std::io::stdin();
+    let mut reader = std::io::stdin().lock();
     let mut out = std::io::stdout().lock();
-    for line in stdin.lock().lines() {
-        let line = line.map_err(|e| BarracudaError::Serve {
-            detail: format!("stdin read failed: {e}"),
-        })?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let outcome = daemon.handle_line(&line);
-        if outcome.drop_connection {
-            // Chaos: swallow the response line (stdio has no connection
-            // to sever) — the work still happened and was persisted.
-            eprintln!("serve: chaos dropped a response (stdio)");
-        } else {
-            writeln!(out, "{}", outcome.response).map_err(write_err)?;
+    let mut buf = Vec::new();
+    loop {
+        let (response, shutdown) = match read_request(&mut reader, &mut buf).map_err(read_err)? {
+            Inbound::Eof => break,
+            Inbound::TooLong => {
+                reader.skip_until(b'\n').map_err(read_err)?;
+                (Some(refusal(daemon, too_long("discarded"))), false)
+            }
+            Inbound::NotUtf8 => (Some(refusal(daemon, NOT_UTF8.to_string())), false),
+            Inbound::Line(line) if line.trim().is_empty() => continue,
+            Inbound::Line(line) => {
+                let outcome = daemon.handle_line(line.trim_end());
+                if outcome.drop_connection {
+                    // Chaos: swallow the response line (stdio has no
+                    // connection to sever) — the work still happened and
+                    // was persisted.
+                    eprintln!("serve: chaos dropped a response (stdio)");
+                    (None, outcome.shutdown)
+                } else {
+                    (Some(outcome.response), outcome.shutdown)
+                }
+            }
+        };
+        if let Some(response) = response {
+            writeln!(out, "{response}").map_err(write_err)?;
             out.flush().map_err(write_err)?;
         }
-        if outcome.shutdown {
+        if shutdown {
             break;
         }
     }
     eprintln!("{}", daemon.snapshot());
     Ok(())
+}
+
+fn read_err(e: std::io::Error) -> BarracudaError {
+    BarracudaError::Serve {
+        detail: format!("stdin read failed: {e}"),
+    }
 }
 
 fn write_err(e: std::io::Error) -> BarracudaError {
@@ -157,46 +219,25 @@ fn serve_connection<S: Read + Write>(daemon: &Daemon, stream: S) {
     let mut reader = BufReader::new(stream);
     let mut buf = Vec::new();
     loop {
-        buf.clear();
-        let limit = MAX_REQUEST_BYTES as u64 + 1;
-        match reader.by_ref().take(limit).read_until(b'\n', &mut buf) {
-            Ok(0) | Err(_) => return,
-            Ok(_) => {}
-        }
-        if buf.len() > MAX_REQUEST_BYTES && buf.last() != Some(&b'\n') {
-            daemon.metrics().requests.fetch_add(1, Ordering::Relaxed);
-            daemon.metrics().errors.fetch_add(1, Ordering::Relaxed);
-            let err = BarracudaError::Serve {
-                detail: format!(
-                    "request line longer than {MAX_REQUEST_BYTES} bytes; closing the connection"
-                ),
-            };
-            let response = protocol::error_response("error", None, &err);
-            let _ = writeln!(reader.get_mut(), "{}", response.to_string_compact());
-            let _ = reader.get_mut().flush();
-            return;
-        }
-        let Ok(line) = std::str::from_utf8(&buf) else {
-            return;
+        let (response, close) = match read_request(&mut reader, &mut buf) {
+            Ok(Inbound::Eof) | Err(_) => return,
+            Ok(Inbound::TooLong) => (refusal(daemon, too_long("closing the connection")), true),
+            Ok(Inbound::NotUtf8) => (refusal(daemon, NOT_UTF8.to_string()), false),
+            Ok(Inbound::Line(line)) if line.trim().is_empty() => continue,
+            Ok(Inbound::Line(line)) => {
+                let outcome = daemon.handle_line(line.trim_end());
+                if outcome.drop_connection {
+                    // Chaos: sever the connection instead of writing the
+                    // response. The request was fully processed and
+                    // published; only the delivery is lost.
+                    return;
+                }
+                (outcome.response, outcome.shutdown)
+            }
         };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let outcome = daemon.handle_line(line.trim_end());
-        if outcome.drop_connection {
-            // Chaos: sever the connection instead of writing the
-            // response. The request was fully processed and published;
-            // only the delivery is lost.
-            return;
-        }
         let stream = reader.get_mut();
-        if writeln!(stream, "{}", outcome.response)
-            .and_then(|()| stream.flush())
-            .is_err()
-        {
-            return;
-        }
-        if outcome.shutdown {
+        let written = writeln!(stream, "{response}").and_then(|()| stream.flush());
+        if written.is_err() || close {
             return;
         }
     }

@@ -999,6 +999,60 @@ fn serve_answers_a_deeply_nested_line_with_a_typed_error() {
     assert_eq!(lines[1], r#"{"ok":true,"op":"ping"}"#);
 }
 
+/// Runs `barracuda serve` over stdio on `input` and returns its stdout
+/// lines, requiring exit 0.
+fn serve_stdio_lines(input: &[u8]) -> Vec<String> {
+    use std::io::Write;
+    let mut child = bin()
+        .args(["serve"])
+        .stdin(std::process::Stdio::piped())
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .unwrap();
+    child.stdin.take().unwrap().write_all(input).unwrap();
+    let out = child.wait_with_output().unwrap();
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    stdout.lines().map(str::to_string).collect()
+}
+
+/// A line that is not UTF-8 used to stop the stdio daemon with exit 12
+/// before the next request; it must be answered and the ping after it too.
+#[test]
+fn serve_answers_a_non_utf8_line_and_keeps_serving() {
+    let lines = serve_stdio_lines(b"\xff\xfe\n{\"op\":\"ping\"}\n");
+    assert_eq!(lines.len(), 2, "stdout: {lines:?}");
+    assert!(lines[0].contains(r#""ok":false"#), "{}", lines[0]);
+    assert!(lines[0].contains(r#""exit_code":12"#), "{}", lines[0]);
+    assert!(lines[0].contains("not valid UTF-8"), "{}", lines[0]);
+    assert_eq!(lines[1], r#"{"ok":true,"op":"ping"}"#);
+}
+
+/// A stdio line one byte over the 1 MiB request limit is refused without
+/// being buffered whole; the rest of it is discarded and serving goes on.
+#[test]
+fn serve_refuses_an_over_long_stdio_line_and_keeps_serving() {
+    let mut input = vec![b'x'; (1 << 20) + 1];
+    input.extend_from_slice(b"\n{\"op\":\"ping\"}\n{\"op\":\"shutdown\"}\n");
+    let lines = serve_stdio_lines(&input);
+    assert_eq!(lines.len(), 3, "stdout: {lines:?}");
+    assert!(lines[0].contains(r#""ok":false"#), "{}", lines[0]);
+    assert!(lines[0].contains(r#""exit_code":12"#), "{}", lines[0]);
+    assert!(
+        lines[0].contains("longer than 1048576 bytes"),
+        "{}",
+        lines[0]
+    );
+    assert_eq!(lines[1], r#"{"ok":true,"op":"ping"}"#);
+    assert!(lines[2].contains(r#""op":"shutdown""#), "{}", lines[2]);
+}
+
 /// The same bytes as a store entry: `plans list` survives them, and the
 /// next lookup quarantines the entry and re-tunes instead of aborting.
 #[test]

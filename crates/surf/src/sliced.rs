@@ -13,6 +13,10 @@
 //! row's features: each row takes the same branch at every node, receives
 //! exactly one leaf value per tree, summed in tree order from the same
 //! starting value, and is divided once by the tree count.
+//!
+//! [`ExtraTrees::fit`] lays its training rows out the same way and grows
+//! each tree over row sets with `SlicedPool::range` and
+//! `SlicedPool::split`.
 
 use crate::forest::{ExtraTrees, Node};
 
@@ -143,6 +147,60 @@ impl SlicedPool {
         }));
     }
 
+    /// Binarized width of the rows.
+    pub(crate) fn width(&self) -> usize {
+        self.cols.len()
+    }
+
+    /// Rows rounded up to whole 64-row words: the length of a row set.
+    pub(crate) fn words(&self) -> usize {
+        self.words
+    }
+
+    /// The smallest and largest value of `feature` over the rows of `set`
+    /// (whole pool words), as `f64::min` and `f64::max` folded over those
+    /// rows find them: NaN rows are passed over, and a set without other
+    /// rows gives a range with `hi < lo`. The sign of a zero may differ
+    /// from the folds', since a sliced column stores 0.0 and -0.0 as one
+    /// value; no `x < t` test can tell them apart.
+    pub(crate) fn range(&self, feature: usize, set: &[u64]) -> (f64, f64) {
+        match &self.cols[feature] {
+            Column::Sliced { values, lt } => {
+                // `below(k)`: rows whose value is < values[k]. The lowest
+                // value present is the one just under the first `below`
+                // that meets the set; the highest is the last value with a
+                // row of the set at or above it.
+                let below = |k: usize| &lt[(k - 1) * self.words..k * self.words];
+                let meets = |k: usize| set.iter().zip(below(k)).any(|(s, m)| s & m != 0);
+                let rises = |k: usize| set.iter().zip(below(k)).any(|(s, m)| s & !m != 0);
+                let last = values.len() - 1;
+                let lo = (1..=last).find(|&k| meets(k)).map_or(last, |k| k - 1);
+                let hi = (1..=last).rev().find(|&k| rises(k)).unwrap_or(0);
+                (values[lo], values[hi])
+            }
+            Column::Dense(values) => ones(set)
+                .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), i| {
+                    (lo.min(values[i]), hi.max(values[i]))
+                }),
+        }
+    }
+
+    /// Removes from `set` the rows whose `feature` is NaN.
+    pub(crate) fn drop_nan(&self, feature: usize, set: &mut [u64]) {
+        if let Column::Dense(values) = &self.cols[feature] {
+            for (w, word) in set.iter_mut().enumerate() {
+                let mut rest = *word;
+                while rest != 0 {
+                    let bit = rest.trailing_zeros();
+                    rest &= rest - 1;
+                    if values[w * 64 + bit as usize].is_nan() {
+                        *word &= !(1 << bit);
+                    }
+                }
+            }
+        }
+    }
+
     /// Leaf-value sums over every tree for the alive rows of block `b`
     /// (empty when none is alive), indexed by row within the block.
     fn score_block(&self, model: &ExtraTrees, depth: usize, alive: &[u64], b: usize) -> Vec<f64> {
@@ -202,7 +260,7 @@ impl SlicedPool {
     /// the rows that pass are written to `left` and removed from `set`.
     /// Returns whether each side is non-empty; `left` is left stale when
     /// no row passes.
-    fn split(
+    pub(crate) fn split(
         &self,
         feature: usize,
         threshold: f64,
@@ -250,6 +308,20 @@ impl SlicedPool {
         }
         (any_left != 0, any_right != 0)
     }
+}
+
+/// The set bits of `set`, ascending: the rows of a row set in row order.
+pub(crate) fn ones(set: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    set.iter().enumerate().flat_map(|(w, &word)| {
+        let mut rest = word;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let bit = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                w * 64 + bit
+            })
+        })
+    })
 }
 
 #[cfg(test)]
@@ -332,6 +404,30 @@ mod tests {
                     let k = rng.gen_range(0..remaining.len());
                     remaining.swap_remove(k);
                 }
+            }
+        }
+    }
+
+    /// `range` over a row subset is the `f64::min`/`f64::max` fold over
+    /// those rows (zeros compared by value), for every column layout.
+    #[test]
+    fn range_matches_the_min_max_fold_on_row_subsets() {
+        let mut rng = StdRng::seed_from_u64(8);
+        let xs: Vec<Vec<f64>> = (0..130).map(|_| row(&mut rng)).collect();
+        let pool = SlicedPool::from_rows(&xs);
+        for keep in [1u32, 2, 5, 40, 100] {
+            let mut set = vec![0u64; pool.words];
+            for i in 0..xs.len() {
+                if rng.gen_range(0..100u32) < keep {
+                    set[i / 64] |= 1 << (i % 64);
+                }
+            }
+            let columns = (0..pool.width()).map(|f| xs.iter().map(|x| x[f]).collect::<Vec<_>>());
+            for (f, column) in columns.enumerate() {
+                let want = ones(&set).fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), i| {
+                    (lo.min(column[i]), hi.max(column[i]))
+                });
+                assert_eq!(pool.range(f, &set), want, "column {f}, {keep} % of rows");
             }
         }
     }

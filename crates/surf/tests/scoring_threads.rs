@@ -1,5 +1,6 @@
-//! Pool scoring and the search built on it give bit-identical results on
-//! the serial and parallel backends at 1 and at 2 rayon threads.
+//! The forest fit, pool scoring and the search built on them give
+//! bit-identical results on the serial and parallel backends at 1 and at
+//! 2 rayon threads.
 //!
 //! The rayon pool reads `RAYON_NUM_THREADS` once per process, so the test
 //! re-runs itself in a child process for each thread count and compares
@@ -81,12 +82,30 @@ fn child() {
     assert_eq!(ser.evaluated, par.evaluated);
     assert_eq!(par.threads, threads);
 
+    // A second forest with the tuner's leaf size and a feature subset per
+    // split: its trees grow in parallel, one rng per tree.
+    let sampled = ExtraTrees::fit(
+        &xs,
+        &ys,
+        ForestParams {
+            n_trees: 30,
+            min_samples_leaf: 2,
+            k_features: Some(3),
+            seed: 7,
+        },
+    );
+    let fitted = rows
+        .iter()
+        .map(|x| sampled.predict(x))
+        .chain(sampled.feature_importance().iter().copied())
+        .map(f64::to_bits);
+
     let bits = serial.iter().map(|p| p.to_bits());
     let picks = par
         .evaluated
         .iter()
         .flat_map(|&(id, y)| [id as u64, y.to_bits()]);
-    println!("digest {:016x}", digest(bits.chain(picks)));
+    println!("digest {:016x}", digest(bits.chain(fitted).chain(picks)));
 }
 
 #[test]
