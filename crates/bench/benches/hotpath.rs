@@ -2,12 +2,14 @@
 //! per-evaluation operations the SURF search loop performs millions of
 //! times — config decode, kernel timing, surrogate refit and pool scoring —
 //! each with its baseline next to the fast path the search uses, so
-//! regressions in either show up as a ratio, not just a number.
+//! regressions in either show up as a ratio, not just a number — plus
+//! the lowering every cold tune pays before its first evaluation.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use barracuda::prelude::*;
+use barracuda::stages::LoweredVersions;
 use barracuda::EvalCache;
 use surf::{ExtraTrees, ForestParams, SlicedPool};
 
@@ -221,6 +223,15 @@ fn bench_memoized_eval(c: &mut Criterion) {
     });
 }
 
+fn bench_lower(c: &mut Criterion) {
+    let w = kernels::builtin("tce").unwrap();
+    // Every OCTOPI version of tce lowered with its op spaces: set-up every
+    // cold tune of tce pays before its first evaluation.
+    c.bench_function("hotpath/lower_tce", |b| {
+        b.iter(|| black_box(LoweredVersions::build(black_box(&w))))
+    });
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default()
@@ -234,5 +245,6 @@ criterion_group! {
     bench_fit,
     bench_pool_feature_reuse,
     bench_memoized_eval,
+    bench_lower,
 }
 criterion_main!(benches);

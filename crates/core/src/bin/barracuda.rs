@@ -936,7 +936,7 @@ fn cmd_plans(sub: &str, spec: Option<&str>, o: &Options) -> Result<(), CliError>
             .clone()
             .unwrap_or_else(|| default_target(o, &loaded));
         let session = TuningSession::new().with_backends(Arc::clone(&set));
-        Ok(session.key_for(&w, &backend)?)
+        Ok(session.key_for_objective(&w, &backend, &o.objective)?)
     };
     match sub {
         "list" => {

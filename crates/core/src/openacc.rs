@@ -103,7 +103,7 @@ pub fn try_openacc_naive(workload: &Workload) -> Result<AccMapping, BarracudaErr
             (0..p.ops.len())
                 .map(|i| {
                     let cfg = naive_config(p, i);
-                    let mut k = map_kernel(p, i, &cfg, st.accumulate).map_err(|detail| {
+                    let mut k = map_kernel(p, i, cfg, st.accumulate).map_err(|detail| {
                         BarracudaError::Mapping {
                             workload: workload.name.clone(),
                             statement: sidx,
@@ -199,7 +199,7 @@ pub fn try_openacc_optimized_parts(
                     // Derived from a kernel that already mapped, so this
                     // config covers the same loops.
                     let mut nk =
-                        map_kernel(program, op_index, &cfg, st.accumulate).map_err(|detail| {
+                        map_kernel(program, op_index, cfg, st.accumulate).map_err(|detail| {
                             BarracudaError::Mapping {
                                 workload: workload.name.clone(),
                                 statement: sidx,

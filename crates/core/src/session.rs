@@ -23,10 +23,11 @@ use std::sync::{Arc, Mutex};
 use crate::backend::{tune_all_backends_with, BackendSet, BackendTuning};
 use crate::cache::EvalCache;
 use crate::error::BarracudaError;
+use crate::objective::Objective;
 use crate::pipeline::{TuneParams, TunedWorkload, WorkloadTuner};
 use crate::plan::{TunedPlan, PLAN_SCHEMA_VERSION};
 use crate::stages::frontend::workload_fingerprint;
-use crate::store::{PlanStore, StoreKey};
+use crate::store::{objective_address, PlanStore, StoreKey};
 use crate::workload::Workload;
 
 /// Where a tuning result came from.
@@ -148,10 +149,21 @@ impl TuningSession {
         self.store.as_ref()
     }
 
-    /// The current-schema store key for `(workload, backend)`. Typed
-    /// [`BarracudaError::Plan`] when the backend key is not in the
-    /// session's backend set.
+    /// The current-schema store key for `(workload, backend)` under the
+    /// default objective. Typed [`BarracudaError::Plan`] when the backend
+    /// key is not in the session's backend set.
     pub fn key_for(&self, workload: &Workload, backend: &str) -> Result<StoreKey, BarracudaError> {
+        self.key_for_objective(workload, backend, &Objective::default())
+    }
+
+    /// [`TuningSession::key_for`] for a plan tuned under `objective`:
+    /// each objective has its own slot in the store.
+    pub fn key_for_objective(
+        &self,
+        workload: &Workload,
+        backend: &str,
+        objective: &Objective,
+    ) -> Result<StoreKey, BarracudaError> {
         let b = self
             .backends
             .get(backend)
@@ -164,6 +176,7 @@ impl TuningSession {
             cache_salt: b.cache_salt(),
             schema: PLAN_SCHEMA_VERSION,
             backend: backend.to_string(),
+            objective: objective_address(objective),
         })
     }
 
@@ -220,10 +233,10 @@ impl TuningSession {
 
     /// Store probe only: replays the persisted plan for
     /// `(workload, backend)` if one exists, without ever searching.
-    /// `Ok(None)` on a miss or when no store is attached. A stored plan
-    /// tuned under a different `objective` than the caller wants is also
-    /// a miss (never an error here): the caller searches under its own
-    /// objective and the fresh plan overwrites the foreign one. This is
+    /// `Ok(None)` on a miss or when no store is attached. The lookup reads
+    /// `objective`'s own slot, so plans tuned under other objectives are
+    /// neither served nor overwritten; a plan in the slot whose objective
+    /// still differs (a digest collision) is a miss too. This is
     /// the daemon's warm fast path — it costs one lookup and one replay,
     /// so it can run *before* admission control and keep warm traffic
     /// flowing while every cold-search permit is taken.
@@ -231,13 +244,13 @@ impl TuningSession {
         &self,
         tuner: &WorkloadTuner,
         backend: &str,
-        objective: &crate::objective::Objective,
+        objective: &Objective,
     ) -> Result<Option<SessionOutcome>, BarracudaError> {
         let workload = &tuner.workload;
         let Some(store) = &self.store else {
             return Ok(None);
         };
-        let key = self.key_for(workload, backend)?;
+        let key = self.key_for_objective(workload, backend, objective)?;
         let Some(plan) = store.lookup(&key)? else {
             return Ok(None);
         };
@@ -291,22 +304,23 @@ impl TuningSession {
         Ok(SweepOutcome { rows, notes })
     }
 
-    /// Replays the stored plan for `(workload, backend)` without ever
-    /// searching: a missing entry is a typed [`BarracudaError::Plan`],
-    /// and so is a stored plan tuned under a different objective than
-    /// `expected` — an explicit replay must never silently serve a pick
-    /// optimized for something else.
+    /// Replays the stored plan for `(workload, backend)` from `expected`'s
+    /// slot without ever searching: a missing entry is a typed
+    /// [`BarracudaError::Plan`] (plans stored under other objectives are
+    /// not looked at), and so is an entry whose plan was tuned under a
+    /// different objective than `expected` — an explicit replay must
+    /// never silently serve a pick optimized for something else.
     /// Returns the result, the plan, and the store path it came from.
     pub fn replay_from_store(
         &self,
         workload: &Workload,
         backend: &str,
-        expected: &crate::objective::Objective,
+        expected: &Objective,
     ) -> Result<(TunedWorkload, TunedPlan, PathBuf), BarracudaError> {
         let store = self.store.as_ref().ok_or_else(|| BarracudaError::Store {
             detail: "no plan store attached (pass --store DIR)".to_string(),
         })?;
-        let key = self.key_for(workload, backend)?;
+        let key = self.key_for_objective(workload, backend, expected)?;
         let plan = store.lookup(&key)?.ok_or_else(|| BarracudaError::Plan {
             workload: workload.name.clone(),
             detail: format!(
@@ -424,7 +438,7 @@ mod tests {
         let root = temp_root("replay_miss");
         let w = matmul(16);
         let s = TuningSession::with_store(&root).unwrap();
-        let time_only = crate::objective::Objective::time_only();
+        let time_only = Objective::time_only();
         let err = s.replay_from_store(&w, "k20", &time_only).unwrap_err();
         assert_eq!(err.stage(), "plan");
         assert!(err.to_string().contains("no stored plan"));
@@ -437,7 +451,7 @@ mod tests {
         // Explicitly replaying under a different objective is refused:
         // the stored pick answers a question nobody asked.
         let err = s
-            .replay_from_store(&w, "k20", &crate::objective::Objective::balanced())
+            .replay_from_store(&w, "k20", &Objective::balanced())
             .unwrap_err();
         assert_eq!(err.stage(), "plan");
         assert_eq!(err.exit_code(), 10);
@@ -445,37 +459,42 @@ mod tests {
     }
 
     #[test]
-    fn foreign_objective_store_entry_is_a_miss_not_an_error() {
-        let root = temp_root("foreign_objective");
+    fn alternating_objectives_hit_their_own_store_slots() {
+        let root = temp_root("alternating_objectives");
         let w = matmul(16);
         let s = TuningSession::with_store(&root).unwrap();
-        let time_tuned = s.tune(&w, "k20", TuneParams::quick()).unwrap();
-        assert!(matches!(
-            time_tuned.source,
-            PlanSource::Searched { stored: Some(_) }
-        ));
-
-        // Same workload, different objective: the stored time-only plan
-        // must not be served; the session searches under the new
-        // objective and overwrites the entry.
-        let mut params = TuneParams::quick();
-        params.objective = crate::objective::Objective::balanced();
-        let balanced = s.tune(&w, "k20", params).unwrap();
-        assert!(
-            matches!(balanced.source, PlanSource::Searched { stored: Some(_) }),
-            "a foreign-objective store entry must be a miss"
-        );
-        assert!(balanced
-            .plan
-            .objective
-            .same_as(&crate::objective::Objective::balanced()));
-
-        // And now the balanced plan is the stored one: a balanced tune
-        // hits, a time-only tune misses again.
-        let warm = s.tune(&w, "k20", params).unwrap();
-        assert!(matches!(warm.source, PlanSource::StoreHit { .. }));
-        let cold = s.tune(&w, "k20", TuneParams::quick()).unwrap();
-        assert!(matches!(cold.source, PlanSource::Searched { .. }));
+        let time = TuneParams::quick();
+        let mut memory = TuneParams::quick();
+        memory.objective = Objective::memory();
+        let rounds: Vec<SessionOutcome> = [time, memory, time, memory]
+            .into_iter()
+            .map(|p| s.tune(&w, "k20", p).unwrap())
+            .collect();
+        // Time then memory: each searches, and neither evicts the other.
+        for cold in &rounds[..2] {
+            assert!(matches!(
+                cold.source,
+                PlanSource::Searched { stored: Some(_) }
+            ));
+        }
+        for (warm, cold) in rounds[2..].iter().zip(&rounds[..2]) {
+            assert!(
+                matches!(warm.source, PlanSource::StoreHit { .. }),
+                "each objective must hit its own slot"
+            );
+            assert_eq!(warm.plan, cold.plan);
+            assert_eq!(
+                warm.tuned.gpu_seconds.to_bits(),
+                cold.tuned.gpu_seconds.to_bits()
+            );
+        }
+        assert!(rounds[3].plan.objective.same_as(&Objective::memory()));
+        // The default objective keeps its objective-free file name.
+        let entries = s.store().unwrap().entries().unwrap();
+        let objectives: Vec<Option<u64>> = entries.iter().map(|e| e.key.objective).collect();
+        assert_eq!(objectives.len(), 2, "{objectives:?}");
+        assert!(objectives.contains(&None));
+        assert!(objectives.contains(&Some(Objective::memory().digest())));
     }
 
     #[test]

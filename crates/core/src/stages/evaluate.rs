@@ -81,7 +81,7 @@ pub(crate) fn statement_time_memo(
     for (o, &choice) in choices.iter().enumerate() {
         let outcome = cache.op_outcome(salt, op_key(stmt, version, o, choice), || {
             let t0 = Instant::now();
-            let cfg = &variant.space.per_op[o].configs[choice];
+            let cfg = variant.space.per_op[o].config(choice);
             // Only the statement writing the program output may accumulate
             // into pre-existing data (same rule as `map_program`).
             let acc = accumulate

@@ -5,17 +5,21 @@
 //! hours produces a mapping that is reused forever (§5, Table II). The
 //! store makes that reuse automatic. Every plan lives at a path derived
 //! from its [`StoreKey`] — `(workload fingerprint, backend key, backend
-//! cache salt, plan schema version)` — so a `tune` can ask "has this
-//! exact workload already been tuned for this exact backend under this
-//! exact model revision?" and replay the answer with zero search
-//! evaluations. The salt in the key means a model or architecture change
-//! silently *misses* (and re-tunes) rather than serving a stale mapping;
-//! the schema version in the key means an entry written under an older
-//! plan schema is never looked up, never parsed: `scan` flags it stale
-//! from its file name alone, and `gc` evicts it.
+//! cache salt, plan schema version, objective)` — so a `tune` can ask
+//! "has this exact workload already been tuned for this exact backend
+//! under this exact model revision and objective?" and replay the answer
+//! with zero search evaluations. Plans for the default (time-only)
+//! objective carry no objective in their address, so their file names
+//! predate objectives; every other objective gets a slot of its own
+//! instead of overwriting the time-only plan. The salt in the key means
+//! a model or architecture change silently *misses* (and re-tunes)
+//! rather than serving a stale mapping; the schema version in the key
+//! means an entry written under an older plan schema is never looked up,
+//! never parsed: `scan` flags it stale from its file name alone, and
+//! `gc` evicts it.
 //!
 //! File names are injective in the key: fixed-width lowercase hex for the
-//! two u64s, a decimal schema tag, and a percent-encoded backend key
+//! u64s, a decimal schema tag, and a percent-encoded backend key
 //! (every byte outside `[a-z0-9_-]` becomes `%XX`, so hostile or
 //! case-colliding backend names cannot alias on case-insensitive
 //! filesystems). Store-layer failures (unreadable directory, an entry the
@@ -50,6 +54,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use crate::error::BarracudaError;
+use crate::objective::Objective;
 use crate::plan::{TunedPlan, PLAN_SCHEMA_VERSION};
 
 /// File-name suffix of every store entry.
@@ -162,6 +167,9 @@ pub struct StoreKey {
     pub schema: u64,
     /// Backend registry key (`k20`, `gtx980`, …).
     pub backend: String,
+    /// [`Objective::digest`] of the objective the plan was tuned under,
+    /// or `None` for the default objective.
+    pub objective: Option<u64>,
 }
 
 impl StoreKey {
@@ -173,17 +181,23 @@ impl StoreKey {
             cache_salt: plan.cache_salt,
             schema: PLAN_SCHEMA_VERSION,
             backend: plan.backend.clone(),
+            objective: objective_address(&plan.objective),
         }
     }
 
     /// The store file name for this key:
-    /// `{fingerprint:016x}-{salt:016x}-v{schema}-{enc(backend)}.plan.json`.
-    /// Injective: the hex fields are fixed width, the schema tag is a
-    /// digit run terminated by `-`, and the backend encoding never emits
-    /// a byte it also passes through raw.
+    /// `{fingerprint:016x}-{salt:016x}-v{schema}-{enc(backend)}.plan.json`,
+    /// with `.o{objective:016x}` before `.plan.json` for a non-default
+    /// objective. Injective: the hex fields are fixed width, the schema
+    /// tag is a digit run terminated by `-`, the backend encoding never
+    /// emits a byte it also passes through raw, and never emits `.`.
     pub fn file_name(&self) -> String {
+        let objective = match self.objective {
+            Some(digest) => format!(".o{digest:016x}"),
+            None => String::new(),
+        };
         format!(
-            "{:016x}-{:016x}-v{}-{}{PLAN_SUFFIX}",
+            "{:016x}-{:016x}-v{}-{}{objective}{PLAN_SUFFIX}",
             self.fingerprint,
             self.cache_salt,
             self.schema,
@@ -192,9 +206,18 @@ impl StoreKey {
     }
 
     /// Inverse of [`StoreKey::file_name`]. `None` if the name is not a
-    /// well-formed store entry.
+    /// well-formed store entry, including a name that decodes to a key
+    /// whose own file name differs (uppercase hex, a `+` sign, a leading
+    /// zero): every key has exactly one name.
     pub fn parse_file_name(name: &str) -> Option<StoreKey> {
         let stem = name.strip_suffix(PLAN_SUFFIX)?;
+        let (stem, objective) = match stem.rsplit_once('.') {
+            Some((stem, tag)) => {
+                let digest = u64::from_str_radix(tag.strip_prefix('o')?, 16).ok()?;
+                (stem, Some(digest))
+            }
+            None => (stem, None),
+        };
         let (fp_hex, rest) = (stem.get(..16)?, stem.get(16..)?);
         let rest = rest.strip_prefix('-')?;
         let (salt_hex, rest) = (rest.get(..16)?, rest.get(16..)?);
@@ -205,12 +228,14 @@ impl StoreKey {
         }
         let (schema_str, rest) = rest.split_at(digits);
         let backend = decode_component(rest.strip_prefix('-')?)?;
-        Some(StoreKey {
+        let key = StoreKey {
             fingerprint: u64::from_str_radix(fp_hex, 16).ok()?,
             cache_salt: u64::from_str_radix(salt_hex, 16).ok()?,
             schema: schema_str.parse().ok()?,
             backend,
-        })
+            objective,
+        };
+        (key.file_name() == name).then_some(key)
     }
 
     /// Whether the entry predates the current plan schema (evictable via
@@ -224,10 +249,21 @@ impl std::fmt::Display for StoreKey {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{:016x} {} (salt {:016x}, schema v{})",
+            "{:016x} {} (salt {:016x}, schema v{}",
             self.fingerprint, self.backend, self.cache_salt, self.schema
-        )
+        )?;
+        match self.objective {
+            Some(digest) => write!(f, ", objective {digest:016x})"),
+            None => write!(f, ")"),
+        }
     }
+}
+
+/// The objective part of a store address: `None` for the default
+/// objective, so its entries keep the names they had before objectives
+/// were part of the key.
+pub(crate) fn objective_address(objective: &Objective) -> Option<u64> {
+    (!objective.same_as(&Objective::default())).then(|| objective.digest())
 }
 
 /// Percent-encodes a key component so distinct strings map to distinct
@@ -637,18 +673,37 @@ mod tests {
             "",
             "a-b_c9",
         ] {
-            let key = StoreKey {
-                fingerprint: 0xdead_beef_0123_4567,
-                cache_salt: u64::MAX,
-                schema: 12,
-                backend: backend.to_string(),
-            };
-            let name = key.file_name();
-            assert!(
-                !name.contains('/') && !name.contains("..") && !name.contains(' '),
-                "unsafe file name {name}"
-            );
-            assert_eq!(StoreKey::parse_file_name(&name), Some(key), "{name}");
+            for objective in [None, Some(0), Some(0x0123_4567_89ab_cdef)] {
+                let key = StoreKey {
+                    fingerprint: 0xdead_beef_0123_4567,
+                    cache_salt: u64::MAX,
+                    schema: 12,
+                    backend: backend.to_string(),
+                    objective,
+                };
+                let name = key.file_name();
+                assert!(
+                    !name.contains('/') && !name.contains("..") && !name.contains(' '),
+                    "unsafe file name {name}"
+                );
+                assert_eq!(StoreKey::parse_file_name(&name), Some(key), "{name}");
+            }
+        }
+        // A name that decodes to a key with a different canonical name is
+        // not a store entry: each key has exactly one file.
+        let canonical = "16b941b9172c4813-6e823a334554b6f9-v3-k20.plan.json";
+        assert!(StoreKey::parse_file_name(canonical).is_some());
+        for name in [
+            "16B941B9172C4813-6e823a334554b6f9-v3-k20.plan.json",
+            "+6b941b9172c4813-6e823a334554b6f9-v3-k20.plan.json",
+            "16b941b9172c4813-6e823a334554b6f9-v03-k20.plan.json",
+            "16b941b9172c4813-6e823a334554b6f9-v3-k%6120.plan.json",
+            "16b941b9172c4813-6e823a334554b6f9-v3-k20.o0123456789ABCDEF.plan.json",
+            "16b941b9172c4813-6e823a334554b6f9-v3-k20.o+123456789abcdef.plan.json",
+            "16b941b9172c4813-6e823a334554b6f9-v3-k20.o0123.plan.json",
+            "16b941b9172c4813-6e823a334554b6f9-v3-k20.x0123456789abcdef.plan.json",
+        ] {
+            assert_eq!(StoreKey::parse_file_name(name), None, "{name}");
         }
     }
 

@@ -10,7 +10,7 @@
 
 use octopi::{enumerate_factorizations, Contraction, Factorization};
 use surf::FeatureSpace;
-use tcr::space::{Configuration, LoopSel, OpConfig, ProgramSpace};
+use tcr::space::{Configuration, ProgramSpace, VarId, ONE};
 use tcr::TcrProgram;
 use tensor::{IndexMap, IndexVar};
 
@@ -50,6 +50,9 @@ pub struct StatementTuner {
     offsets: Vec<u128>,
     /// Sorted index vocabulary of the statement (for feature encoding).
     vocab: Vec<IndexVar>,
+    /// Per version and op: the vocabulary slot of each of the op space's
+    /// loop variables, indexed by [`VarId`] (see [`vocab_slots`]).
+    slots: Vec<Vec<Vec<f64>>>,
     /// Max statement count across variants (feature slots).
     max_ops: usize,
     /// Feature layout, built once — rebuilding it per `features` call
@@ -93,6 +96,16 @@ impl StatementTuner {
         }
         offsets.push(acc);
         let vocab: Vec<IndexVar> = contraction.all_indices().into_iter().collect();
+        let slots = variants
+            .iter()
+            .map(|v| {
+                v.space
+                    .per_op
+                    .iter()
+                    .map(|s| vocab_slots(&vocab, s.vars()))
+                    .collect()
+            })
+            .collect();
         let max_ops = variants
             .iter()
             .map(|v| v.program.ops.len())
@@ -106,6 +119,7 @@ impl StatementTuner {
             quarantined_versions,
             offsets,
             vocab,
+            slots,
             max_ops,
             feature_space,
         }
@@ -146,40 +160,6 @@ impl StatementTuner {
     /// Inverse of [`StatementTuner::decode`].
     pub fn encode(&self, variant: usize, config: &Configuration) -> u128 {
         self.offsets[variant] + self.variants[variant].space.config_id(config)
-    }
-
-    fn vocab_slot(&self, sel: Option<&IndexVar>) -> f64 {
-        match sel {
-            None => 0.0,
-            // Slot 0 doubles as "absent": a variable outside the vocabulary
-            // (impossible for well-formed spaces) encodes as absent rather
-            // than aborting feature extraction.
-            Some(v) => self
-                .vocab
-                .iter()
-                .position(|x| x == v)
-                .map(|p| 1.0 + p as f64)
-                .unwrap_or(0.0),
-        }
-    }
-
-    /// Raw (pre-binarization) feature values of one per-op configuration:
-    /// `[tx, ty, bx, by, innermost, second-innermost]` as vocabulary slots
-    /// plus the unroll factor, appended to `raw`.
-    fn op_raw_into(&self, cfg: &OpConfig, raw: &mut Vec<f64>) {
-        let sel = |s: &LoopSel| self.vocab_slot(s.var());
-        let inner = cfg.interior.last();
-        let second = cfg.interior.len().checked_sub(2).map(|k| &cfg.interior[k]);
-        raw.extend([
-            self.vocab_slot(Some(&cfg.tx)),
-            sel(&cfg.ty),
-            sel(&cfg.bx),
-            sel(&cfg.by),
-            self.vocab_slot(inner),
-            self.vocab_slot(second),
-            cfg.unroll as f64,
-            cfg.staged.len() as f64,
-        ]);
     }
 
     /// Feature layout for this statement (shared by every id).
@@ -231,23 +211,58 @@ impl StatementTuner {
         out
     }
 
-    /// Binarized feature vector of a flat id.
+    /// Binarized feature vector of a flat id: the version, then per op
+    /// `[tx, ty, bx, by, innermost, second-innermost]` as vocabulary slots
+    /// plus the unroll factor and the staged-input count, read straight
+    /// from the packed configurations.
     pub fn features(&self, id: u128) -> Vec<f64> {
-        let (v, config) = self.decode(id);
-        let variant = &self.variants[v];
-        let mut raw = Vec::with_capacity(1 + 8 * self.max_ops);
-        raw.push(v as f64);
-        for op in 0..self.max_ops {
-            if op < variant.program.ops.len() {
-                self.op_raw_into(variant.space.op_config(&config, op), &mut raw);
-            } else {
-                raw.extend([0.0; 8]);
-            }
+        let (v, mut local) = self.decode_raw(id);
+        let mut raw = vec![0.0; 1 + 8 * self.max_ops];
+        raw[0] = v as f64;
+        // Mixed-radix digits, last op first (as `ProgramSpace::config`).
+        for (op, s) in self.variants[v].space.per_op.iter().enumerate().rev() {
+            let radix = s.len() as u128;
+            let code = s.code((local % radix) as usize);
+            local /= radix;
+            let slot = &self.slots[v][op];
+            let sel = |var: VarId| if var == ONE { 0.0 } else { slot[var as usize] };
+            let interior = s.interior(&code);
+            let from_inner = |k: usize| {
+                interior
+                    .len()
+                    .checked_sub(k)
+                    .map_or(0.0, |i| slot[interior[i] as usize])
+            };
+            raw[1 + 8 * op..9 + 8 * op].copy_from_slice(&[
+                sel(code.tx),
+                sel(code.ty),
+                sel(code.bx),
+                sel(code.by),
+                from_inner(1),
+                from_inner(2),
+                code.unroll as f64,
+                s.staged(&code).len() as f64,
+            ]);
         }
         let mut out = Vec::with_capacity(self.feature_space.width());
         self.feature_space.binarize_into(&raw, &mut out);
         out
     }
+}
+
+/// Feature value of each of `vars` (an op space's loop variables): one plus
+/// its position in the statement's vocabulary. Slot 0 doubles as "absent":
+/// a variable outside the vocabulary (impossible for well-formed spaces)
+/// encodes as absent rather than aborting feature extraction.
+fn vocab_slots(vocab: &[IndexVar], vars: &[IndexVar]) -> Vec<f64> {
+    vars.iter()
+        .map(|v| {
+            vocab
+                .iter()
+                .position(|x| x == v)
+                .map_or(0.0, |p| 1.0 + p as f64)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -319,6 +334,79 @@ mod tests {
         let a = t.features(0);
         let b = t.features(1);
         assert_ne!(a, b, "adjacent configs differ at least in unroll");
+    }
+
+    /// The decode → `Configuration` → `OpConfig` → vocabulary-position path
+    /// that `features` replaced.
+    fn reference_features(t: &StatementTuner, id: u128) -> Vec<f64> {
+        let slot = |sel: Option<&IndexVar>| match sel {
+            None => 0.0,
+            Some(v) => t
+                .vocab
+                .iter()
+                .position(|x| x == v)
+                .map(|p| 1.0 + p as f64)
+                .unwrap_or(0.0),
+        };
+        let (v, config) = t.decode(id);
+        let variant = &t.variants[v];
+        let mut raw = vec![v as f64];
+        for op in 0..t.max_ops {
+            if op < variant.program.ops.len() {
+                let cfg = variant.space.op_config(&config, op);
+                let second = cfg.interior.len().checked_sub(2).map(|k| &cfg.interior[k]);
+                raw.extend([
+                    slot(Some(&cfg.tx)),
+                    slot(cfg.ty.var()),
+                    slot(cfg.bx.var()),
+                    slot(cfg.by.var()),
+                    slot(cfg.interior.last()),
+                    slot(second),
+                    cfg.unroll as f64,
+                    cfg.staged.len() as f64,
+                ]);
+            } else {
+                raw.extend([0.0; 8]);
+            }
+        }
+        let mut out = Vec::new();
+        t.feature_space.binarize_into(&raw, &mut out);
+        out
+    }
+
+    #[test]
+    fn features_match_the_decoded_path_on_every_builtin() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut names: Vec<String> = ["eqn1", "lg3", "lg3t", "tce"].map(String::from).into();
+        for family in ["s1", "d1", "d2"] {
+            names.extend((1..=9).map(|v| format!("{family}_{v}")));
+        }
+        let mut rng = StdRng::seed_from_u64(16);
+        for name in &names {
+            let w = crate::kernels::builtin(name).expect("a builtin name");
+            for (k, c) in w.statements.iter().enumerate() {
+                let mut t = StatementTuner::build(name, c, &w.dims);
+                for pruned in [false, true] {
+                    if pruned {
+                        t.prune(&tcr::PruneRules::aggressive());
+                    }
+                    let total = t.total();
+                    for id in (0..64)
+                        .map(|_| rng.gen_range(0..total))
+                        .chain([0, total - 1])
+                    {
+                        let bits =
+                            |f: Vec<f64>| f.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+                        assert_eq!(
+                            bits(t.features(id)),
+                            bits(reference_features(&t, id)),
+                            "{name} statement {k} id {id} pruned {pruned}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

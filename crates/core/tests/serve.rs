@@ -118,6 +118,34 @@ fn warm_requests_replay_from_the_store() {
     assert_eq!((m.store_hits, m.store_misses), (1, 1));
 }
 
+/// Time and memory requests for one workload file under separate store
+/// slots: alternating them searches once per objective, then both hit.
+#[test]
+fn alternating_objectives_hit_their_own_store_slots() {
+    let daemon = quick_daemon(Some(temp_store("alternating_objectives")));
+    let line = |objective: &str| {
+        format!(
+            r#"{{"op":"tune","workload":"builtin:eqn1","backend":"gtx980","objective":"{objective}"}}"#
+        )
+    };
+    let rounds: Vec<Json> = ["time", "memory", "time", "memory"]
+        .into_iter()
+        .map(|o| Json::parse(&daemon.handle_line(&line(o)).response).unwrap())
+        .collect();
+    let field = |r: &Json, k: &str| r.get(k).and_then(Json::as_str).map(str::to_string);
+    for r in &rounds[..2] {
+        assert_eq!(field(r, "source").as_deref(), Some("searched"), "{r:?}");
+    }
+    for (warm, cold) in rounds[2..].iter().zip(&rounds[..2]) {
+        assert_eq!(field(warm, "source").as_deref(), Some("hit"), "{warm:?}");
+        assert_eq!(warm.get("evals_performed").and_then(Json::as_u64), Some(0));
+        assert_eq!(field(warm, "timing"), field(cold, "timing"));
+        assert_eq!(field(warm, "objective"), field(cold, "objective"));
+    }
+    let m = daemon.metrics().snapshot();
+    assert_eq!((m.store_hits, m.store_misses), (2, 2));
+}
+
 /// A request whose deadline expires mid-search answers promptly with the
 /// typed degraded status and best-so-far — it never hangs and never
 /// errors.

@@ -30,13 +30,17 @@ fn any_key() -> impl Strategy<Value = StoreKey> {
         (0u64..=u64::MAX),
         (0u64..=u64::MAX),
         hostile_name(),
+        (0u8..2, 0u64..=u64::MAX),
     )
-        .prop_map(|(fingerprint, cache_salt, schema, backend)| StoreKey {
-            fingerprint,
-            cache_salt,
-            schema,
-            backend,
-        })
+        .prop_map(
+            |(fingerprint, cache_salt, schema, backend, (tagged, digest))| StoreKey {
+                fingerprint,
+                cache_salt,
+                schema,
+                backend,
+                objective: (tagged == 1).then_some(digest),
+            },
+        )
 }
 
 proptest! {
@@ -80,6 +84,7 @@ proptest! {
             cache_salt: 2,
             schema: 2,
             backend,
+            objective: None,
         };
         let a = key(lower).file_name();
         let b = key(upper).file_name();

@@ -218,7 +218,7 @@ mod tests {
             unroll: 1,
             staged: vec![],
         };
-        map_kernel(p, 0, &cfg, false).unwrap()
+        map_kernel(p, 0, cfg, false).unwrap()
     }
 
     #[test]
@@ -290,7 +290,7 @@ mod tests {
         let p = matmul_program(16);
         let space = ProgramSpace::build(&p);
         let arch = gtx980();
-        for cfg in space.per_op[0].configs.iter().take(8) {
+        for cfg in space.per_op[0].iter().take(8) {
             let k = map_kernel(&p, 0, cfg, false).unwrap();
             let t = kernel_traffic(&k, &arch);
             assert!(t.l2_transactions > 0.0);

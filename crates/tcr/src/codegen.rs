@@ -640,7 +640,7 @@ mod tests {
     fn kernel_source_has_cuda_shape() {
         let p = eqn1_program(10);
         let space = ProgramSpace::build(&p);
-        let cfg = &space.per_op[2].configs[0];
+        let cfg = space.per_op[2].config(0);
         let k = map_kernel(&p, 2, cfg, false).unwrap();
         let src = cuda_kernel(&k);
         assert!(src.contains("__global__ void ex_GPU_2"));
@@ -653,7 +653,6 @@ mod tests {
         let p = matmul_program(10);
         let space = ProgramSpace::build(&p);
         let cfg = space.per_op[0]
-            .configs
             .iter()
             .find(|c| c.unroll == 3 && c.interior.len() == 1)
             .expect("an unroll-3 config exists");
@@ -672,7 +671,6 @@ mod tests {
         let p = matmul_program(8);
         let space = ProgramSpace::build(&p);
         let cfg = space.per_op[0]
-            .configs
             .iter()
             .find(|c| c.interior.len() == 1 && c.unroll == 1)
             .unwrap();
@@ -688,7 +686,6 @@ mod tests {
         let p = matmul_program(8);
         let space = ProgramSpace::build(&p);
         let cfg = space.per_op[0]
-            .configs
             .iter()
             .find(|c| c.interior.len() == 1 && c.unroll == 1)
             .unwrap();
@@ -740,13 +737,11 @@ mod tests {
         let p = matmul_program(16);
         let space = ProgramSpace::build(&p);
         let mut cfg = space.per_op[0]
-            .configs
             .iter()
             .find(|c| c.interior.len() == 1 && c.unroll == 1)
-            .unwrap()
-            .clone();
+            .unwrap();
         cfg.staged = vec![0];
-        let k = map_kernel(&p, 0, &cfg, false).unwrap();
+        let k = map_kernel(&p, 0, cfg, false).unwrap();
         let src = cuda_kernel(&k);
         assert!(src.contains("__shared__ double s_A["), "{src}");
         assert!(src.contains("__syncthreads();"), "{src}");

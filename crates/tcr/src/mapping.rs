@@ -259,7 +259,8 @@ fn access_for(program: &TcrProgram, array_id: usize) -> ArrayAccess {
     }
 }
 
-/// Applies `cfg` to statement `op_index` of `program`.
+/// Applies `cfg` to statement `op_index` of `program`. The configuration
+/// is consumed: its loop variables move into the kernel.
 ///
 /// Returns a [`MapError`] when the configuration is inconsistent with the
 /// statement (loops not covered exactly once, a mapped loop that is not
@@ -270,7 +271,7 @@ fn access_for(program: &TcrProgram, array_id: usize) -> ArrayAccess {
 pub fn map_kernel(
     program: &TcrProgram,
     op_index: usize,
-    cfg: &OpConfig,
+    cfg: OpConfig,
     accumulate: bool,
 ) -> Result<MappedKernel, MapError> {
     let op = program
@@ -324,44 +325,57 @@ pub fn map_kernel(
         ));
     }
 
-    let mut interior: Vec<InteriorLoop> = Vec::with_capacity(cfg.interior.len());
-    for v in &cfg.interior {
+    let OpConfig {
+        tx,
+        ty,
+        bx,
+        by,
+        interior: interior_vars,
+        unroll,
+        staged,
+    } = cfg;
+    let mut interior: Vec<InteriorLoop> = Vec::with_capacity(interior_vars.len());
+    for var in interior_vars {
         interior.push(InteriorLoop {
-            var: v.clone(),
-            extent: ext(v)?,
-            parallel: out_indices.contains(v),
+            extent: ext(&var)?,
+            parallel: out_indices.contains(&var),
+            var,
         });
     }
     if let Some(inner) = interior.last() {
-        if cfg.unroll < 1 || cfg.unroll > inner.extent {
+        if unroll < 1 || unroll > inner.extent {
             return Err(MapError::new(
                 op_index,
                 format!(
                     "unroll factor {} out of range for extent {}",
-                    cfg.unroll, inner.extent
+                    unroll, inner.extent
                 ),
             ));
         }
-    } else if cfg.unroll != 1 {
+    } else if unroll != 1 {
         return Err(MapError::new(op_index, "unroll without interior loop"));
     }
 
-    let sel = |s: &LoopSel| -> Result<Option<(IndexVar, usize)>, MapError> {
-        match s.var() {
-            Some(v) => Ok(Some((v.clone(), ext(v)?))),
-            None => Ok(None),
+    let sel = |s: LoopSel| -> Result<Option<(IndexVar, usize)>, MapError> {
+        match s {
+            LoopSel::Var(v) => {
+                let e = ext(&v)?;
+                Ok(Some((v, e)))
+            }
+            LoopSel::One => Ok(None),
         }
     };
 
+    let tx_extent = ext(&tx)?;
     Ok(MappedKernel {
         name: format!("{}_GPU_{}", program.name, op_index),
         op_index,
-        tx: (cfg.tx.clone(), ext(&cfg.tx)?),
-        ty: sel(&cfg.ty)?,
-        bx: sel(&cfg.bx)?,
-        by: sel(&cfg.by)?,
+        tx: (tx, tx_extent),
+        ty: sel(ty)?,
+        bx: sel(bx)?,
+        by: sel(by)?,
         interior,
-        unroll: cfg.unroll,
+        unroll,
         output: access_for(program, op.output),
         inputs: op
             .inputs
@@ -370,7 +384,7 @@ pub fn map_kernel(
             .collect(),
         accumulate,
         scalar_replacement: true,
-        staged: cfg.staged.clone(),
+        staged,
         coefficient: op.coefficient,
     })
 }
@@ -424,7 +438,7 @@ mod tests {
     fn matmul_mapping_dimensions() {
         let p = matmul_program(8);
         let space = ProgramSpace::build(&p);
-        let cfg = &space.per_op[0].configs[0];
+        let cfg = space.per_op[0].config(0);
         let k = map_kernel(&p, 0, cfg, false).unwrap();
         assert_eq!(k.tx.1, 8);
         let (bx, by) = k.grid();
@@ -440,8 +454,8 @@ mod tests {
         let p = eqn1_program(6);
         let space = ProgramSpace::build(&p);
         for (i, s) in space.per_op.iter().enumerate() {
-            let expect = map_kernel(&p, i, &s.configs[0], false).unwrap().flops();
-            for cfg in &s.configs {
+            let expect = map_kernel(&p, i, s.config(0), false).unwrap().flops();
+            for cfg in s.iter() {
                 assert_eq!(map_kernel(&p, i, cfg, false).unwrap().flops(), expect);
             }
         }
@@ -465,7 +479,6 @@ mod tests {
         // output C[i,k] is invariant to it, so fully registered.
         let s = &space.per_op[0];
         let cfg = s
-            .configs
             .iter()
             .find(|c| c.interior.len() == 1)
             .expect("some config maps both parallel loops");
@@ -479,7 +492,7 @@ mod tests {
         let p = matmul_program(8);
         let space = ProgramSpace::build(&p);
         let s = &space.per_op[0];
-        let cfg = s.configs.iter().find(|c| c.interior.len() == 1).unwrap();
+        let cfg = s.iter().find(|c| c.interior.len() == 1).unwrap();
         let k = map_kernel(&p, 0, cfg, false).unwrap();
         // Both A[i,j] and B[j,k] vary with the interior loop j: 8 loads each.
         assert_eq!(k.input_loads_per_thread(0), 8);
@@ -501,9 +514,9 @@ mod tests {
     fn bad_interior_rejected() {
         let p = matmul_program(8);
         let space = ProgramSpace::build(&p);
-        let mut cfg = space.per_op[0].configs[0].clone();
+        let mut cfg = space.per_op[0].config(0);
         cfg.interior.clear();
-        let err = map_kernel(&p, 0, &cfg, false).unwrap_err();
+        let err = map_kernel(&p, 0, cfg, false).unwrap_err();
         assert_eq!(err.op_index, 0);
         assert!(err.detail.contains("does not cover"), "{err}");
     }
@@ -512,13 +525,12 @@ mod tests {
     fn bad_unroll_rejected() {
         let p = matmul_program(8);
         let space = ProgramSpace::build(&p);
-        let base = space.per_op[0].configs[0].clone();
-        let mut cfg = base.clone();
+        let mut cfg = space.per_op[0].config(0);
         cfg.unroll = 10_000;
         if cfg.interior.is_empty() {
             cfg.interior.push(tensor::IndexVar::new("j"));
         }
-        let err = map_kernel(&p, 0, &cfg, false).unwrap_err();
+        let err = map_kernel(&p, 0, cfg, false).unwrap_err();
         assert!(err.detail.contains("unroll"), "{err}");
     }
 

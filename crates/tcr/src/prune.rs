@@ -9,7 +9,7 @@
 
 use crate::mapping::map_kernel;
 use crate::program::TcrProgram;
-use crate::space::{OpConfig, OpSpace, ProgramSpace};
+use crate::space::{OpSpace, PackedConfig, ProgramSpace, VarId};
 
 /// Which pruning rules to apply.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -52,7 +52,77 @@ impl PruneRules {
     }
 }
 
-fn keeps(program: &TcrProgram, op_index: usize, cfg: &OpConfig, rules: &PruneRules) -> bool {
+fn keeps(program: &TcrProgram, space: &OpSpace, code: &PackedConfig, rules: &PruneRules) -> bool {
+    let op = &program.ops[space.op_index];
+    let var = |v: VarId| &space.vars()[v as usize];
+    let innermost = space.interior(code).last().map(|&v| var(v));
+    if rules.coalesced_output {
+        let out = &program.arrays[op.output];
+        if out.stride_of(var(code.tx), &program.dims) != Some(1) {
+            return false;
+        }
+    }
+    if rules.unroll_sweet_spots {
+        let full = innermost.map(|v| program.dims[v]).unwrap_or(1);
+        let full = full.min(crate::space::MAX_UNROLL);
+        if ![1usize, 2, 4, 8, full].contains(&(code.unroll as usize)) {
+            return false;
+        }
+    }
+    if rules.local_innermost {
+        if let Some(inner) = innermost {
+            let referenced: Vec<usize> = {
+                let mut ids = op.inputs.clone();
+                ids.push(op.output);
+                ids
+            };
+            let local = referenced
+                .iter()
+                .any(|&id| program.arrays[id].stride_of(inner, &program.dims) == Some(1));
+            if !local {
+                return false;
+            }
+        }
+    }
+    if rules.single_staging && space.staged(code).len() > 1 {
+        return false;
+    }
+    true
+}
+
+/// Applies the rules, keeping at least one configuration per statement
+/// (falls back to the unpruned list when a rule empties it).
+pub fn prune_space(program: &TcrProgram, space: &ProgramSpace, rules: &PruneRules) -> ProgramSpace {
+    let per_op = space
+        .per_op
+        .iter()
+        .map(|s| s.filtered(|code| keeps(program, s, code, rules)))
+        .collect();
+    ProgramSpace { per_op }
+}
+
+/// Sanity helper: every pruned configuration must still map to a valid
+/// kernel. Returns the number of configurations checked.
+pub fn validate_pruned(program: &TcrProgram, space: &ProgramSpace) -> usize {
+    let mut checked = 0;
+    for s in &space.per_op {
+        for cfg in s.iter().take(64) {
+            let _ = map_kernel(program, s.op_index, cfg, false);
+            checked += 1;
+        }
+    }
+    checked
+}
+
+/// The rule check over decoded configurations that [`prune_space`] used
+/// before spaces were packed; tests check the packed check against it.
+#[cfg(test)]
+pub(crate) fn reference_keeps(
+    program: &TcrProgram,
+    op_index: usize,
+    cfg: &crate::space::OpConfig,
+    rules: &PruneRules,
+) -> bool {
     let op = &program.ops[op_index];
     if rules.coalesced_output {
         let out = &program.arrays[op.output];
@@ -88,49 +158,6 @@ fn keeps(program: &TcrProgram, op_index: usize, cfg: &OpConfig, rules: &PruneRul
     true
 }
 
-/// Applies the rules, keeping at least one configuration per statement
-/// (falls back to the unpruned list when a rule empties it).
-pub fn prune_space(program: &TcrProgram, space: &ProgramSpace, rules: &PruneRules) -> ProgramSpace {
-    let per_op = space
-        .per_op
-        .iter()
-        .map(|s| {
-            let kept: Vec<OpConfig> = s
-                .configs
-                .iter()
-                .filter(|c| keeps(program, s.op_index, c, rules))
-                .cloned()
-                .collect();
-            OpSpace {
-                op_index: s.op_index,
-                tx_candidates: s.tx_candidates.clone(),
-                ty_candidates: s.ty_candidates.clone(),
-                bx_candidates: s.bx_candidates.clone(),
-                by_candidates: s.by_candidates.clone(),
-                configs: if kept.is_empty() {
-                    s.configs.clone()
-                } else {
-                    kept
-                },
-            }
-        })
-        .collect();
-    ProgramSpace { per_op }
-}
-
-/// Sanity helper: every pruned configuration must still map to a valid
-/// kernel. Returns the number of configurations checked.
-pub fn validate_pruned(program: &TcrProgram, space: &ProgramSpace) -> usize {
-    let mut checked = 0;
-    for s in &space.per_op {
-        for cfg in s.configs.iter().take(64) {
-            let _ = map_kernel(program, s.op_index, cfg, false);
-            checked += 1;
-        }
-    }
-    checked
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,7 +190,7 @@ mod tests {
         };
         let pruned = prune_space(&p, &full, &rules);
         for s in &pruned.per_op {
-            for c in &s.configs {
+            for c in s.iter() {
                 let out = &p.arrays[p.ops[s.op_index].output];
                 assert_eq!(out.stride_of(&c.tx, &p.dims), Some(1));
             }
@@ -182,7 +209,7 @@ mod tests {
         };
         let pruned = prune_space(&p, &full, &rules);
         for s in &pruned.per_op {
-            for c in &s.configs {
+            for c in s.iter() {
                 assert!([1, 2, 4, 8, 10].contains(&c.unroll), "unroll {}", c.unroll);
             }
         }
@@ -196,7 +223,7 @@ mod tests {
         let rules = PruneRules::aggressive();
         let pruned = prune_space(&p, &full, &rules);
         for s in &pruned.per_op {
-            assert!(!s.configs.is_empty());
+            assert!(!s.is_empty());
         }
     }
 
